@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Batched vs scalar simulation backend: wall-clock and equivalence.
+"""Lock-step replica batching: wall-clock and equivalence.
 
 Runs a Figure-5-style synchronization-delay sweep (bench scale:
 ``M = 100`` queues, ``N = 4M`` clients, ``Δt ∈ {1..10}``, 32 Monte-Carlo
-replicas, per-packet randomization) twice — once through the lock-step
-:class:`repro.queueing.batched_env.BatchedFiniteSystemEnv` backend and
-once by looping the scalar :class:`repro.queueing.env.FiniteSystemEnv`
-per replica — and reports per-``Δt`` wall-clock plus a statistical
-equivalence check of the drop estimates (both backends simulate the
-same law; see ``docs/scaling.md`` for the scaling regime in which the
-batched path wins and where the two converge).
+replicas, per-packet randomization) twice through
+:class:`repro.queueing.batched_env.BatchedFiniteSystemEnv` — once with
+all replicas in one lock-step chunk and once one replica at a time
+(``ExecutionContext(max_batch_replicas=1)``, i.e. ``E = 1`` chunks) —
+and reports per-``Δt`` wall-clock plus a statistical equivalence check
+of the drop estimates (both legs simulate the same law from independent
+streams; see ``docs/scaling.md`` for the scaling regime in which
+batching wins and where the two converge).
 
 With ``--backend NAME`` the comparison switches to epoch *kernels*: the
 same batched sweep runs once under the NumPy reference kernel and once
@@ -26,9 +27,10 @@ Runs standalone or under pytest-benchmark:
     PYTHONPATH=src python benchmarks/bench_batched_backend.py --quick --backend numba
     PYTHONPATH=src python -m pytest benchmarks/bench_batched_backend.py
 
-The full sweep asserts the batched backend is at least ``MIN_SPEEDUP``×
-faster; ``--quick`` shrinks the grid for CI smoke and only checks
-equivalence (tiny timings are dominated by noise).
+The full sweep asserts the batched leg is at least ``MIN_SPEEDUP``×
+faster than the per-replica leg; ``--quick`` shrinks the grid for CI
+smoke and only checks equivalence (tiny timings are dominated by
+noise).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.experiments.runner import evaluate_policy_finite
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.utils.tables import format_table
@@ -53,20 +56,25 @@ DEFAULT_JSON = Path("BENCH_batched_backend.json")
 
 
 def run_backend_sweep(
-    backend: str,
     delta_ts=FULL_DELTA_TS,
     num_queues: int = 100,
     clients_per_queue: int = 4,
     num_runs: int = 32,
     seed: int = 0,
     sim_backend: str = "numpy",
+    per_replica: bool = False,
 ) -> tuple[dict, float]:
-    """Evaluate JSQ(2) over the delay sweep with one backend.
+    """Evaluate JSQ(2) over the delay sweep.
 
-    ``backend`` selects the execution style (``"batched"``/``"scalar"``),
-    ``sim_backend`` the epoch kernel simulating each shard. Returns
+    All ``num_runs`` replicas step in one lock-step chunk, or — with
+    ``per_replica`` — one replica per chunk; ``sim_backend`` picks the
+    epoch kernel simulating each chunk. Returns
     ``(per-Δt MonteCarloResult dict, total wall-clock seconds)``.
     """
+    context = ExecutionContext(
+        max_batch_replicas=1 if per_replica else num_runs,
+        sim_backend=sim_backend,
+    )
     results = {}
     total = 0.0
     for dt in delta_ts:
@@ -84,24 +92,22 @@ def run_backend_sweep(
             num_runs=num_runs,
             num_epochs=num_epochs,
             seed=seed,
-            backend=backend,
-            max_batch_replicas=num_runs,
             env_kwargs={"per_packet_randomization": True},
-            sim_backend=sim_backend,
+            context=context,
         )
         total += time.perf_counter() - start
     return results, total
 
 
-def equivalence_gaps(batched: dict, scalar: dict) -> dict[float, float]:
-    """Per-Δt z-scores of the batched-vs-scalar mean-drop difference.
+def equivalence_gaps(batched: dict, other: dict) -> dict[float, float]:
+    """Per-Δt z-scores of the mean-drop difference between two legs.
 
-    Both backends sample the same distribution from different streams,
-    so the standardized gap should look standard-normal per Δt.
+    Both legs sample the same distribution from different streams, so
+    the standardized gap should look standard-normal per Δt.
     """
     gaps = {}
     for dt, rb in batched.items():
-        rs = scalar[dt]
+        rs = other[dt]
         se = np.hypot(
             rb.drops.std(ddof=1) / np.sqrt(rb.drops.size),
             rs.drops.std(ddof=1) / np.sqrt(rs.drops.size),
@@ -116,16 +122,16 @@ def run_bench(
     delta_ts = QUICK_DELTA_TS if quick else FULL_DELTA_TS
     num_runs = 16 if quick else 32
     batched, t_batched = run_backend_sweep(
-        "batched", delta_ts, num_runs=num_runs, seed=seed
+        delta_ts, num_runs=num_runs, seed=seed
     )
-    scalar, t_scalar = run_backend_sweep(
-        "scalar", delta_ts, num_runs=num_runs, seed=seed
+    per_replica, t_per_replica = run_backend_sweep(
+        delta_ts, num_runs=num_runs, seed=seed, per_replica=True
     )
-    gaps = equivalence_gaps(batched, scalar)
+    gaps = equivalence_gaps(batched, per_replica)
 
     rows = []
     for dt in delta_ts:
-        rb, rs = batched[dt], scalar[dt]
+        rb, rs = batched[dt], per_replica[dt]
         rows.append(
             [
                 f"{dt:g}",
@@ -134,20 +140,20 @@ def run_bench(
                 f"{gaps[dt]:.2f}",
             ]
         )
-    speedup = t_scalar / t_batched
+    speedup = t_per_replica / t_batched
     print(
         format_table(
-            ["Δt", "batched drops", "scalar drops", "|z|"],
+            ["Δt", "batched drops", "per-replica drops", "|z|"],
             rows,
             title=(
-                f"Batched vs scalar backend — {num_runs} replicas, "
-                "JSQ(2), per-packet randomization"
+                f"Lock-step batch vs per-replica chunks — {num_runs} "
+                "replicas, JSQ(2), per-packet randomization"
             ),
         )
     )
     print(
-        f"\nwall-clock: batched {t_batched:.2f}s, scalar {t_scalar:.2f}s "
-        f"-> {speedup:.1f}x speedup"
+        f"\nwall-clock: batched {t_batched:.2f}s, per-replica "
+        f"{t_per_replica:.2f}s -> {speedup:.1f}x speedup"
     )
 
     worst = max(gaps.values())
@@ -156,7 +162,7 @@ def run_bench(
         "mode": "quick" if quick else "full",
         "wall_clock_s": {
             "batched": round(t_batched, 4),
-            "scalar": round(t_scalar, 4),
+            "per_replica": round(t_per_replica, 4),
         },
         "speedup": round(speedup, 3),
         "worst_z": round(worst, 3),
@@ -174,10 +180,10 @@ def run_bench(
 
     # Statistical equivalence: with independent streams the worst |z|
     # over the grid stays small; 4 SEs is a generous, non-flaky bound.
-    assert worst < 4.0, f"backends disagree: worst |z| = {worst:.2f}"
+    assert worst < 4.0, f"legs disagree: worst |z| = {worst:.2f}"
     if not quick:
         assert speedup >= MIN_SPEEDUP, (
-            f"batched backend only {speedup:.1f}x faster "
+            f"batched leg only {speedup:.1f}x faster than per-replica "
             f"(expected >= {MIN_SPEEDUP}x)"
         )
     return stats
@@ -215,16 +221,16 @@ def run_kernel_bench(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run_backend_sweep(
-                "batched", (2.0,), num_queues=10, num_runs=2, seed=seed,
+                (2.0,), num_queues=10, num_runs=2, seed=seed,
                 sim_backend=kernel_name,
             )
     reference, t_numpy = run_backend_sweep(
-        "batched", delta_ts, num_runs=num_runs, seed=seed
+        delta_ts, num_runs=num_runs, seed=seed
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         candidate, t_kernel = run_backend_sweep(
-            "batched", delta_ts, num_runs=num_runs, seed=seed,
+            delta_ts, num_runs=num_runs, seed=seed,
             sim_backend=kernel_name,
         )
 
@@ -336,7 +342,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="NAME",
         help="compare this epoch kernel (e.g. 'numba') against the NumPy "
-        "reference instead of the batched-vs-scalar execution styles",
+        "reference instead of the batched-vs-per-replica comparison",
     )
     parser.add_argument(
         "--json",

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import EvalRequest, SweepExecutor
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.utils.tables import format_table
@@ -91,11 +92,13 @@ def run_bench(
     requests = build_requests(delta_ts, num_runs=num_runs, seed=seed)
 
     start = time.perf_counter()
-    serial = SweepExecutor(workers=1).run_drops(requests)
+    serial = SweepExecutor().run_drops(requests)
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded = SweepExecutor(workers=PARALLEL_WORKERS).run_drops(requests)
+    sharded = SweepExecutor(
+        ExecutionContext(workers=PARALLEL_WORKERS)).run_drops(requests
+    )
     t_sharded = time.perf_counter() - start
 
     identical = all(

@@ -19,8 +19,10 @@ import argparse
 
 
 from repro.config import paper_system_config
+from repro.policies.static import ConstantRulePolicy
+from repro.queueing.batched_env import run_episodes_batched
 from repro.queueing.heterogeneous import (
-    HeterogeneousFiniteEnv,
+    BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
     jsq_rule_heterogeneous,
     rnd_rule_heterogeneous,
@@ -63,8 +65,13 @@ def main() -> None:
     for name, rule in rules.items():
         drops = []
         for run in range(args.runs):
-            env = HeterogeneousFiniteEnv(config, spec, seed=args.seed + run)
-            drops.append(env.run_episode(rule, num_epochs, seed=args.seed + run))
+            env = BatchedHeterogeneousFiniteEnv(
+                config, spec, num_replicas=1, seed=args.seed + run
+            )
+            result = run_episodes_batched(
+                env, ConstantRulePolicy(rule), num_epochs, seed=args.seed + run
+            )
+            drops.append(result.mean_total_drops)
         ci = mean_confidence_interval(drops)
         rows.append([name, f"{ci.mean:.2f}", f"±{ci.half_width:.2f}"])
     rows.sort(key=lambda r: float(r[1]))

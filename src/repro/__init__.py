@@ -29,10 +29,10 @@ from repro.meanfield import (
     per_state_arrival_rates,
 )
 from repro.queueing import (
-    FiniteSystemEnv,
-    InfiniteClientEnv,
+    BatchedFiniteSystemEnv,
+    BatchedInfiniteClientEnv,
     MarkovModulatedRate,
-    run_episode,
+    run_episodes_batched,
 )
 from repro.policies import (
     ConstantRulePolicy,
@@ -55,10 +55,10 @@ __all__ = [
     "MeanFieldEnv",
     "epoch_update",
     "per_state_arrival_rates",
-    "FiniteSystemEnv",
-    "InfiniteClientEnv",
+    "BatchedFiniteSystemEnv",
+    "BatchedInfiniteClientEnv",
     "MarkovModulatedRate",
-    "run_episode",
+    "run_episodes_batched",
     "ConstantRulePolicy",
     "JoinShortestQueuePolicy",
     "NeuralPolicy",

@@ -32,8 +32,8 @@ __all__ = [
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_probability(name: str, value: float) -> None:

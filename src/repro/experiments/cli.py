@@ -606,9 +606,12 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
             return 0
+        from repro.execution import ExecutionContext
+        from repro.store import ExperimentStore
+
         store = None
         if not args.no_store:
-            store = (
+            store = ExperimentStore(
                 args.store_dir
                 if args.store_dir is not None
                 else args.results_dir / ".store"
@@ -617,12 +620,14 @@ def main(argv: list[str] | None = None) -> int:
             report = run_reproduction(
                 manifest,
                 results_dir=args.results_dir,
-                store=store,
-                workers=args.workers,
+                context=ExecutionContext(
+                    workers=args.workers,
+                    store=store,
+                    claim=args.claim,
+                    merge_only=args.merge_only,
+                ),
                 only=args.only,
                 echo=args.echo,
-                claim=args.claim,
-                merge_only=args.merge_only,
             )
         except ValueError as exc:  # unknown --only name, bad params, ...
             print(f"error: {exc}", file=sys.stderr)

@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.execution import resolve_execution_context
 from repro.experiments.fig5_delay_sweep import Fig5Result, run_fig5
 
 if TYPE_CHECKING:
     from repro.execution import ExecutionContext
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -52,22 +50,14 @@ def run_fig6(
     num_runs: int = 10,
     mf_policies: "dict[float, UpperLevelPolicy] | None" = None,
     seed: int = 0,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
     context: "ExecutionContext | None" = None,
 ) -> Fig6Result:
     """Regenerate both Figure 6 panels (paper uses ``M = 1000``).
 
     ``context`` (an :class:`repro.execution.ExecutionContext`) carries
     the execution knobs — process count, shard cache, epoch kernel —
-    forwarded to each panel's sharded sweep; the individual ``workers``
-    / ``store`` / ``sim_backend`` keywords keep working for one release
-    behind a :class:`DeprecationWarning`.
+    forwarded to each panel's sharded sweep.
     """
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
     panel_a = run_fig5(
         num_queues=num_queues,
         delta_ts=delta_ts,
@@ -75,7 +65,7 @@ def run_fig6(
         clients_of_m=lambda m: m,
         mf_policies=mf_policies,
         seed=seed,
-        context=ctx,
+        context=context,
     )
     panel_a.num_clients_rule = "M"
     panel_b = run_fig5(
@@ -85,7 +75,7 @@ def run_fig6(
         clients_of_m=lambda m: max(1, m // 2),
         mf_policies=mf_policies,
         seed=seed,
-        context=ctx,
+        context=context,
     )
     panel_b.num_clients_rule = "M/2"
     return Fig6Result(panel_a=panel_a, panel_b=panel_b)

@@ -12,17 +12,21 @@ worker count or completion order. :class:`SweepExecutor` decomposes every
 :class:`EvalRequest` into the exact same ``(sweep-point × replica-chunk)``
 shards the serial path of
 :func:`repro.experiments.runner.evaluate_policy_finite` iterates over,
-spawns one ``SeedSequence`` child per chunk (batched backend) or per run
-(scalar backend) the same way :func:`repro.utils.rng.spawn_generators`
-does, executes the shards in any order on any number of processes, and
-reassembles the per-replica drops by offset. Consequently::
+spawns one ``SeedSequence`` child per chunk the same way
+:func:`repro.utils.rng.spawn_generators` does, executes the shards in
+any order on any number of processes, and reassembles the per-replica
+drops by offset. Consequently::
 
-    SweepExecutor(workers=1).run(reqs)
-    == SweepExecutor(workers=4).run(reqs)     # bit-identical
-    == [evaluate_policy_finite(...) per req]  # bit-identical
+    SweepExecutor(context=ExecutionContext(workers=1)).run(reqs)
+    == SweepExecutor(context=ExecutionContext(workers=4)).run(reqs)
+    == [evaluate_policy_finite(...) per req]  # all bit-identical
 
 ``workers=1`` never touches ``multiprocessing`` at all — the graceful
 in-process fallback used by tests, single-core boxes and nested callers.
+
+Every shard runs through the batched lock-step environments of
+:mod:`repro.queueing.batched_env`; a single replica is simply a chunk of
+``E = 1`` (``ExecutionContext(max_batch_replicas=1)``).
 
 Everything shipped to a worker (config, policy, environment class and
 kwargs, seed material) crosses the process boundary by pickling; the
@@ -32,7 +36,7 @@ simulation work. See ``docs/scaling.md`` for guidance on combining
 process-level sharding with the replica-batched backend.
 
 Because shard results are a pure function of their request and seed
-material, they are also *cacheable*: pass ``store=`` (a
+material, they are also *cacheable*: give the context a ``store`` (a
 :class:`repro.store.store.ExperimentStore`) to reuse previously
 computed shards by content hash and persist fresh ones — the mechanism
 behind resumable sweeps and the ``reproduce`` pipeline (see
@@ -48,22 +52,20 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.config import SystemConfig
+from repro.execution import ExecutionContext
 from repro.queueing.backends import available_backends
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     _BatchedQueueSystemBase,
     run_episodes_batched,
 )
-from repro.queueing.env import FiniteSystemEnv, run_episode
 from repro.utils.stats import mean_confidence_interval
 
 if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
-    from repro.execution import ExecutionContext
     from repro.experiments.runner import MonteCarloResult
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["EvalRequest", "SweepExecutor"]
 
@@ -83,14 +85,12 @@ class EvalRequest:
     the unit whose merged statistics are guaranteed identical no matter
     how many workers execute its shards.
 
-    ``env_cls`` may be a scalar environment class (``backend="scalar"``)
-    or a subclass of the batched queue-system base
-    (``backend="batched"``); ``None`` selects the standard
-    finite-system environment for the chosen backend.
+    ``env_cls`` must be a subclass of the batched queue-system base
+    (:class:`repro.queueing.batched_env._BatchedQueueSystemBase`);
+    ``None`` selects :class:`BatchedFiniteSystemEnv`.
 
-    ``backend`` picks the *execution style* (lock-step replicas vs a
-    scalar loop); ``sim_backend`` independently picks the *epoch kernel*
-    from :mod:`repro.queueing.backends` (``"numpy"``, ``"numba"`` or
+    ``sim_backend`` picks the *epoch kernel* from
+    :mod:`repro.queueing.backends` (``"numpy"``, ``"numba"`` or
     ``"auto"``). Kernels that preserve the RNG-draw contract produce
     bit-identical results, so shards cached under one such kernel are
     reused by the others.
@@ -101,16 +101,19 @@ class EvalRequest:
     num_runs: int | None = None
     num_epochs: int | None = None
     seed: "SeedLike" = 0
-    backend: str = "batched"
     max_batch_replicas: int = 64
     env_cls: type | None = None
     env_kwargs: dict[str, Any] = field(default_factory=dict)
     sim_backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("batched", "scalar"):
+        if self.env_cls is not None and not (
+            isinstance(self.env_cls, type)
+            and issubclass(self.env_cls, _BatchedQueueSystemBase)
+        ):
             raise ValueError(
-                f"unknown backend {self.backend!r}; use 'batched' or 'scalar'"
+                f"env_cls must be a batched environment class (a "
+                f"_BatchedQueueSystemBase subclass), got {self.env_cls!r}"
             )
         if self.sim_backend != "auto" and (
             self.sim_backend not in available_backends()
@@ -131,14 +134,6 @@ class EvalRequest:
             else self.config.monte_carlo_runs
         )
 
-    def uses_batched_backend(self) -> bool:
-        """Batched lock-step path unless a scalar-only env is requested."""
-        if self.backend != "batched":
-            return False
-        return self.env_cls is None or issubclass(
-            self.env_cls, _BatchedQueueSystemBase
-        )
-
 
 @dataclass(frozen=True)
 class _Shard:
@@ -147,9 +142,9 @@ class _Shard:
     request_index: int
     offset: int  # first replica index within the request
     num_runs: int
-    # Batched shards carry one seed (the chunk generator); scalar shards
-    # one seed per run. Entries are SeedSequences (or ints for exotic
-    # generators without a retrievable seed sequence).
+    # The chunk generator's seed material, as a 1-tuple: a SeedSequence
+    # (or an int for exotic generators without a retrievable seed
+    # sequence). The tuple shape is part of the store key payload.
     seeds: "tuple[SeedMaterial, ...]"
 
 
@@ -180,30 +175,12 @@ def _decompose(requests: Sequence[EvalRequest]) -> list[_Shard]:
     """Split every request into its deterministic replica-chunk shards."""
     shards: list[_Shard] = []
     for index, request in enumerate(requests):
-        runs = request.resolved_runs()
-        if request.uses_batched_backend():
-            sizes = _chunk_sizes(runs, request.max_batch_replicas)
-            children = _spawn_seed_children(request.seed, len(sizes))
-            offset = 0
-            for size, child in zip(sizes, children):
-                shards.append(_Shard(index, offset, size, (child,)))
-                offset += size
-        else:
-            # Scalar path: one generator per run (matching the serial
-            # loop), grouped into chunks so task count stays bounded.
-            children = _spawn_seed_children(request.seed, runs)
-            sizes = _chunk_sizes(runs, request.max_batch_replicas)
-            offset = 0
-            for size in sizes:
-                shards.append(
-                    _Shard(
-                        index,
-                        offset,
-                        size,
-                        tuple(children[offset : offset + size]),
-                    )
-                )
-                offset += size
+        sizes = _chunk_sizes(request.resolved_runs(), request.max_batch_replicas)
+        children = _spawn_seed_children(request.seed, len(sizes))
+        offset = 0
+        for size, child in zip(sizes, children):
+            shards.append(_Shard(index, offset, size, (child,)))
+            offset += size
     return shards
 
 
@@ -219,29 +196,18 @@ def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
     env_kwargs = dict(request.env_kwargs)
     if request.sim_backend != "numpy":
         env_kwargs.setdefault("backend", request.sim_backend)
-    if request.uses_batched_backend():
-        rng = np.random.default_rng(shard.seeds[0])
-        env_cls = request.env_cls or BatchedFiniteSystemEnv
-        env = env_cls(
-            request.config,
-            num_replicas=shard.num_runs,
-            seed=rng,
-            **env_kwargs,
-        )
-        result = run_episodes_batched(
-            env, request.policy, num_epochs=request.num_epochs, seed=rng
-        )
-        return result.total_drops_per_queue
-    env_cls = request.env_cls or FiniteSystemEnv
-    drops = np.empty(shard.num_runs)
-    for i, child in enumerate(shard.seeds):
-        rng = np.random.default_rng(child)
-        env = env_cls(request.config, seed=rng, **env_kwargs)
-        episode = run_episode(
-            env, request.policy, num_epochs=request.num_epochs, seed=rng
-        )
-        drops[i] = episode.total_drops_per_queue
-    return drops
+    rng = np.random.default_rng(shard.seeds[0])
+    env_cls = request.env_cls or BatchedFiniteSystemEnv
+    env = env_cls(
+        request.config,
+        num_replicas=shard.num_runs,
+        seed=rng,
+        **env_kwargs,
+    )
+    result = run_episodes_batched(
+        env, request.policy, num_epochs=request.num_epochs, seed=rng
+    )
+    return result.total_drops_per_queue
 
 
 class SweepExecutor:
@@ -249,51 +215,47 @@ class SweepExecutor:
 
     Parameters
     ----------
-    workers:
-        Process count. ``1`` executes every shard in-process (no
-        ``multiprocessing`` involvement); ``None`` uses
-        ``os.cpu_count()``. Results are independent of this value.
+    context:
+        :class:`repro.execution.ExecutionContext` carrying the execution
+        knobs (``None`` means ``ExecutionContext()``):
+
+        * ``workers`` — process count; ``1`` executes every shard
+          in-process (no ``multiprocessing`` involvement). Results are
+          independent of this value.
+        * ``store`` — optional
+          :class:`repro.store.store.ExperimentStore`. Every shard is
+          looked up by its content hash before dispatch (cache hits
+          merge without simulating anything) and every freshly computed
+          shard is persisted atomically on completion — so a killed
+          sweep resumes where it stopped, and overlapping sweeps (e.g.
+          two figure grids sharing sub-sweeps) reuse each other's
+          shards. Cached and fresh shards merge bit-identically to a
+          cold run because a shard's streams are a pure function of its
+          key inputs.
+        * ``claim`` — multi-node mode: before computing a pending shard,
+          claim it through the store's atomic claim files
+          (:meth:`~repro.store.store.ExperimentStore.try_claim`).
+          Independent hosts pointing at one shared store directory then
+          partition a sweep between them without a coordinator: each
+          host computes the shards it wins, polls the store for shards
+          claimed elsewhere, and merges everything bit-identically to a
+          single-host run (shard streams are pure functions of their
+          key inputs, so *who* computes a shard cannot change it). A
+          claim untouched for ``stale_claim_after`` seconds (a killed
+          worker) is taken over, making every shard at-least-once.
+        * ``merge_only`` — merge previously completed shards from the
+          store without computing anything; raises ``RuntimeError``
+          naming the missing shard count if the sweep is incomplete.
+          This is how any host — even one that computed nothing —
+          assembles a partitioned sweep's final result.
+
+        The context validates these (``workers >= 1``, a store for
+        ``claim``/``merge_only``, the two modes exclusive). Its
+        ``sim_backend``/``max_batch_replicas`` are per-request knobs and
+        are ignored here.
     mp_context:
         Optional ``multiprocessing`` context or start-method name
         (``"fork"``, ``"spawn"``, ...) forwarded to the pool.
-    store:
-        Optional :class:`repro.store.store.ExperimentStore`. When given,
-        every shard is looked up by its content hash before dispatch
-        (cache hits merge without simulating anything) and every freshly
-        computed shard is persisted atomically on completion — so a
-        killed sweep resumes where it stopped, and overlapping sweeps
-        (e.g. two figure grids sharing sub-sweeps) reuse each other's
-        shards. Cached and fresh shards merge bit-identically to a cold
-        run because a shard's streams are a pure function of its key
-        inputs.
-    context:
-        Optional :class:`repro.execution.ExecutionContext` carrying
-        ``workers``, ``store``, ``claim`` and ``merge_only`` in one
-        bundle. Mutually exclusive with passing those individually
-        (``TypeError``); the executor is the low-level machinery, so its
-        own keywords stay supported — only the *mixing* of styles is
-        rejected. The context's ``sim_backend``/``max_batch_replicas``
-        are per-request knobs and are ignored here.
-    claim:
-        Multi-node mode: before computing a pending shard, claim it
-        through the store's atomic claim files
-        (:meth:`~repro.store.store.ExperimentStore.try_claim`).
-        Independent hosts pointing at one shared store directory then
-        partition a sweep between them without a coordinator: each host
-        computes the shards it wins, polls the store for shards claimed
-        elsewhere, and merges everything bit-identically to a
-        single-host run (shard streams are pure functions of their key
-        inputs, so *who* computes a shard cannot change it). A claim
-        untouched for ``stale_claim_after`` seconds (a killed worker) is
-        taken over, making every shard at-least-once. Requires
-        ``store``.
-    merge_only:
-        Merge previously completed shards from the store without
-        computing anything; raises ``RuntimeError`` naming the missing
-        shard count if the sweep is incomplete. This is how any host —
-        even one that computed nothing — assembles a partitioned
-        sweep's final result. Requires ``store``; mutually exclusive
-        with ``claim``.
     claim_owner:
         Identity written into claim files (diagnostics only); defaults
         to ``"<hostname>:<pid>"``.
@@ -312,12 +274,8 @@ class SweepExecutor:
 
     def __init__(
         self,
-        workers: int | None = None,
-        mp_context: "BaseContext | str | None" = None,
-        store: "ExperimentStore | None" = None,
         context: "ExecutionContext | None" = None,
-        claim: bool = False,
-        merge_only: bool = False,
+        mp_context: "BaseContext | str | None" = None,
         claim_owner: str | None = None,
         stale_claim_after: float | None = 1800.0,
         claim_poll_interval: float = 0.25,
@@ -325,42 +283,22 @@ class SweepExecutor:
     ) -> None:
         import os
 
-        if context is not None:
-            if workers is not None or store is not None or claim or merge_only:
-                raise TypeError(
-                    "pass workers/store either via context= or "
-                    "individually, not both"
-                )
-            workers = context.workers
-            store = context.store
-            claim = getattr(context, "claim", False)
-            merge_only = getattr(context, "merge_only", False)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if claim and merge_only:
-            raise ValueError("claim and merge_only are mutually exclusive")
-        if (claim or merge_only) and store is None:
-            raise ValueError(
-                "claim/merge_only coordinate through the experiment "
-                "store; pass store= as well"
-            )
+        ctx = context or ExecutionContext()
         if stale_claim_after is not None and stale_claim_after <= 0:
             raise ValueError("stale_claim_after must be > 0 (or None)")
         if claim_poll_interval <= 0:
             raise ValueError("claim_poll_interval must be > 0")
         if claim_timeout is not None and claim_timeout <= 0:
             raise ValueError("claim_timeout must be > 0 (or None)")
-        self.workers = int(workers)
+        self.workers = ctx.workers
         if isinstance(mp_context, str):
             import multiprocessing
 
             mp_context = multiprocessing.get_context(mp_context)
         self._mp_context = mp_context
-        self.store = store
-        self.claim = bool(claim)
-        self.merge_only = bool(merge_only)
+        self.store = ctx.store
+        self.claim = ctx.claim
+        self.merge_only = ctx.merge_only
         if claim_owner is None:
             import socket
 

@@ -25,7 +25,6 @@ from repro.queueing.clients import (
     sample_client_choices,
     sample_client_choices_batched,
 )
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
 from repro.queueing.batched_env import (
     BatchedEpisodeResult,
     BatchedFiniteSystemEnv,
@@ -35,7 +34,6 @@ from repro.queueing.batched_env import (
 from repro.queueing.events import simulate_epoch_event_driven
 from repro.queueing.heterogeneous import (
     BatchedHeterogeneousFiniteEnv,
-    HeterogeneousFiniteEnv,
     ServerClassSpec,
 )
 from repro.queueing.topology import TopologySpec
@@ -91,7 +89,6 @@ __all__ = [
     "FlashCrowdRate",
     "TraceReplayRate",
     "BatchedHeterogeneousFiniteEnv",
-    "HeterogeneousFiniteEnv",
     "ServerClassSpec",
     "MarkovModulatedRate",
     "available_backends",
@@ -102,9 +99,6 @@ __all__ = [
     "sample_client_choices",
     "sample_client_choices_batched",
     "expected_choice_counts",
-    "FiniteSystemEnv",
-    "InfiniteClientEnv",
-    "run_episode",
     "BatchedFiniteSystemEnv",
     "BatchedInfiniteClientEnv",
     "BatchedEpisodeResult",

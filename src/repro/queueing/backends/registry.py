@@ -1,10 +1,11 @@
 """Backend registry: name → epoch kernel, with availability fallbacks.
 
 ``get_backend`` is the single resolution point used by environment
-constructors, the experiment runner's ``sim_backend=`` threading and the
-CLI ``--sim-backend`` flags. Registering a backend here also enrolls it
-in the conformance gauntlet of ``tests/test_backend_conformance.py``,
-which parametrizes over :func:`available_backends`.
+constructors, the experiment runner's ``ExecutionContext.sim_backend``
+threading and the CLI ``--sim-backend`` flags. Registering a backend
+here also enrolls it in the conformance gauntlet of
+``tests/test_backend_conformance.py``, which parametrizes over
+:func:`available_backends`.
 """
 
 from __future__ import annotations

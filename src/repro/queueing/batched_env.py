@@ -17,10 +17,8 @@ of Section 2.2. Both are driven by an
 :class:`repro.policies.base.UpperLevelPolicy` exactly as Figure 2
 prescribes, queried once per replica per epoch (policies that implement
 ``decision_rules_batch`` answer all replicas with one forward pass;
-stationary policies are queried once in total). The scalar environments
-in :mod:`repro.queueing.env` are thin ``E = 1`` wrappers around these
-classes and consume the generator stream identically, so a scalar and an
-``E = 1`` batched simulation with a shared seed are bit-identical.
+stationary policies are queried once in total). A single system is
+simply ``num_replicas=1``: there is no separate scalar implementation.
 
 See ``docs/scaling.md`` for when to prefer the batched path and the
 expected speedups.
@@ -364,8 +362,7 @@ def run_episodes_batched(
 ) -> BatchedEpisodeResult:
     """Run Algorithm 1 for ``num_epochs`` epochs in all replicas at once.
 
-    The batched counterpart of :func:`repro.queueing.env.run_episode`:
-    returns the cumulative per-queue packet drops of every replica (the
+    Returns the cumulative per-queue packet drops of every replica (the
     quantity on the y-axes of Figures 4-6) and the per-epoch series.
     """
     steps = (

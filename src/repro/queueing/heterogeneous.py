@@ -16,10 +16,8 @@ Simulation runs through the replica-batched backend:
 :class:`BatchedHeterogeneousFiniteEnv` is the ``E``-replica system
 (queue states ``(E, M)``, one kernel pass per epoch — a drop-in
 ``env_cls`` for :func:`repro.experiments.runner.evaluate_policy_finite`
-and the sharded :class:`repro.experiments.parallel.SweepExecutor`), and
-the scalar :class:`HeterogeneousFiniteEnv` is its ``E = 1`` view, the
-same arrangement as :mod:`repro.queueing.env` over
-:mod:`repro.queueing.batched_env`.
+and the sharded :class:`repro.experiments.parallel.SweepExecutor`); a
+single system is ``num_replicas=1``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "rnd_rule_heterogeneous",
     "sed_policy_suite",
     "BatchedHeterogeneousFiniteEnv",
-    "HeterogeneousFiniteEnv",
 ]
 
 
@@ -267,134 +264,3 @@ class BatchedHeterogeneousFiniteEnv(_BatchedQueueSystemBase):
             * counts.astype(np.float64)
             / self.config.num_clients
         )
-
-
-class HeterogeneousFiniteEnv:
-    """Finite ``N, M`` system with ``C`` server classes (``E = 1`` view).
-
-    The API mirrors :class:`repro.queueing.env.FiniteSystemEnv`, but the
-    decision rule operates on observed states ``o = z·C + c`` and the
-    empirical distribution lives on ``Z × C``. All simulation happens in
-    an underlying single-replica :class:`BatchedHeterogeneousFiniteEnv`,
-    so scalar and batched heterogeneous runs with a shared seed are
-    bit-identical.
-    """
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        spec: ServerClassSpec,
-        arrival_process: MarkovModulatedRate | None = None,
-        infinite_clients: bool = False,
-        per_packet_randomization: bool = False,
-        seed=None,
-        backend: str | None = None,
-    ) -> None:
-        self._core = BatchedHeterogeneousFiniteEnv(
-            config,
-            spec,
-            num_replicas=1,
-            arrival_process=arrival_process,
-            infinite_clients=infinite_clients,
-            per_packet_randomization=per_packet_randomization,
-            seed=seed,
-            backend=backend,
-        )
-
-    # -- configuration access -------------------------------------------
-    @property
-    def config(self) -> SystemConfig:
-        return self._core.config
-
-    @property
-    def spec(self) -> ServerClassSpec:
-        return self._core.spec
-
-    @property
-    def arrivals(self) -> MarkovModulatedRate:
-        return self._core.arrivals
-
-    @property
-    def classes(self) -> np.ndarray:
-        return self._core.classes
-
-    @property
-    def service_rates(self) -> np.ndarray:
-        return self._core.service_rates
-
-    @property
-    def infinite_clients(self) -> bool:
-        return self._core.infinite_clients
-
-    @property
-    def batched_core(self) -> BatchedHeterogeneousFiniteEnv:
-        """The underlying ``E = 1`` batched environment."""
-        return self._core
-
-    @property
-    def num_observed_states(self) -> int:
-        return self._core.num_observed_states
-
-    # -- state access ---------------------------------------------------
-    @property
-    def queue_fillings(self) -> np.ndarray:
-        return self._core.queue_states[0]
-
-    @property
-    def lam_mode(self) -> int:
-        return int(self._core.lam_modes[0])
-
-    @property
-    def current_rate(self) -> float:
-        return float(self._core.current_rates[0])
-
-    def observed_states(self) -> np.ndarray:
-        return self._core.observed_states()[0]
-
-    def empirical_distribution(self) -> np.ndarray:
-        """Distribution over the flat ``Z × C`` observed states."""
-        return self._core.empirical_distributions()[0]
-
-    def reset(self, seed=None) -> np.ndarray:
-        return self._core.reset(seed)[0]
-
-    def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, dict]:
-        hists, rewards, info = self._core.step(rule)
-        return (
-            hists[0],
-            float(rewards[0]),
-            {
-                "drops_total": int(info["drops_total"][0]),
-                "drops_per_queue": float(info["drops_per_queue"][0]),
-                "arrival_rates": info["arrival_rates"][0],
-                "t": info["t"],
-            },
-        )
-
-    def step_with_policy(self, policy) -> tuple[np.ndarray, float, dict]:
-        """Compute ``H_t`` on ``Z × C``, query the policy, apply the rule.
-
-        Mirrors :meth:`repro.queueing.env._QueueSystemBase.step_with_policy`
-        so the scalar heterogeneous system is drivable by the generic
-        :func:`repro.queueing.env.run_episode` loop.
-        """
-        hists, rewards, info = self._core.step_with_policy(policy)
-        return (
-            hists[0],
-            float(rewards[0]),
-            {
-                "drops_total": int(info["drops_total"][0]),
-                "drops_per_queue": float(info["drops_per_queue"][0]),
-                "arrival_rates": info["arrival_rates"][0],
-                "t": info["t"],
-            },
-        )
-
-    def run_episode(self, rule: DecisionRule, num_epochs: int, seed=None) -> float:
-        """Cumulative per-queue drops under a constant rule."""
-        self.reset(seed)
-        total = 0.0
-        for _ in range(num_epochs):
-            _, _, info = self.step(rule)
-            total += info["drops_per_queue"]
-        return total

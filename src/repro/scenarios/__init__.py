@@ -10,9 +10,9 @@ streaming workloads ``diurnal-stream``, ``flash-crowd`` and
 :mod:`repro.scenarios.builtin`).
 :func:`run_scenario` executes any registered name through the sharded
 :class:`repro.experiments.parallel.SweepExecutor`, optionally backed by
-the content-addressed shard store (``store=``); the ``stream`` CLI
-subcommand (:mod:`repro.serving`) streams any of them over long
-horizons instead. See ``docs/workloads.md`` for the catalogue and
+the content-addressed shard store (``ExecutionContext(store=...)``);
+the ``stream`` CLI subcommand (:mod:`repro.serving`) streams any of
+them over long horizons instead. See ``docs/workloads.md`` for the catalogue and
 ``docs/scaling.md`` for worker guidance.
 """
 

@@ -15,16 +15,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.execution import resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import EvalRequest, SweepExecutor
 from repro.scenarios.registry import ScenarioSpec, get_scenario
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
-    from repro.execution import ExecutionContext
     from repro.experiments.runner import MonteCarloResult
     from repro.queueing.chaos import DegradationSchedule
-    from repro.store.store import ExperimentStore
 
 __all__ = ["ScenarioSweepResult", "run_scenario"]
 
@@ -88,11 +86,8 @@ def run_scenario(
     delta_ts: tuple[float, ...] | None = None,
     num_queues: int | None = None,
     num_runs: int | None = None,
-    workers: int | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
     chaos: "DegradationSchedule | None" = None,
 ) -> ScenarioSweepResult:
     """Evaluate one registered scenario over its delay grid.
@@ -116,7 +111,7 @@ def run_scenario(
         against the scenario's environment before any cell runs.
     context:
         :class:`repro.execution.ExecutionContext` with the execution
-        knobs — ``workers`` (process count of the shared
+        knobs (``None`` means the defaults) — ``workers`` (process count of the shared
         :class:`SweepExecutor`; never changes the merged statistics),
         ``store`` (content-addressed shard cache, see
         :mod:`repro.store`: cells already computed by a previous run —
@@ -124,19 +119,15 @@ def run_scenario(
         instead of simulated), ``sim_backend`` (epoch kernel for every
         cell; contract-preserving kernels never change the statistics)
         and ``max_batch_replicas`` (defaults to the spec's registered
-        chunk size).
-    workers, store, sim_backend:
-        Deprecated individual forms of the same knobs; they keep
-        working for one release behind a :class:`DeprecationWarning`.
+        chunk size); ``claim``/``merge_only`` partition the grid across
+        hosts sharing the store.
 
     Raises
     ------
     KeyError
         If ``name`` is not registered (the message lists the catalogue).
     """
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context or ExecutionContext()
     spec: ScenarioSpec = get_scenario(name)
     grid = tuple(delta_ts) if delta_ts else spec.delta_ts
     runs = int(num_runs) if num_runs is not None else spec.num_runs
@@ -163,7 +154,6 @@ def run_scenario(
                     num_runs=runs,
                     num_epochs=config.resolved_eval_length(),
                     seed=seed,
-                    backend="batched",
                     max_batch_replicas=ctx.resolved_max_batch_replicas(
                         spec.max_batch_replicas
                     ),

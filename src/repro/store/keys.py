@@ -203,9 +203,9 @@ def shard_key(request: "EvalRequest", shard: "_Shard") -> str:
         "policy": request.policy,
         "policy_name": request.policy.name,
         "num_epochs": request.num_epochs,
-        "backend": (
-            "batched" if request.uses_batched_backend() else "scalar"
-        ),
+        # Fixed literal: every shard runs the batched path, and keeping
+        # the field keeps the keys of existing store shards.
+        "backend": "batched",
         "env_cls": request.env_cls,
         "env_kwargs": request.env_kwargs,
         "shard_runs": shard.num_runs,

@@ -33,9 +33,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.execution import ExecutionContext
 from repro.store.keys import CODE_SALT, fingerprint
 from repro.store.manifest import ArtifactSpec, ReproductionManifest
-from repro.store.store import ExperimentStore, StoreStats
+from repro.store.store import StoreStats
 from repro.utils.tables import format_table
 
 __all__ = ["ArtifactRun", "ReproductionReport", "run_reproduction"]
@@ -144,12 +145,7 @@ class ReproductionReport:
 
 
 def _regenerate(
-    spec: ArtifactSpec,
-    seed: int,
-    workers: int,
-    store: "ExperimentStore | None",
-    claim: bool = False,
-    merge_only: bool = False,
+    spec: ArtifactSpec, seed: int, ctx: ExecutionContext
 ) -> "tuple[str, str | None]":
     """Run one artifact; returns ``(table_text, csv_text | None)``.
 
@@ -157,14 +153,6 @@ def _regenerate(
     :mod:`repro.store` without dragging in the experiment runners (which
     themselves import the parallel executor, which consults the store).
     """
-    from repro.execution import ExecutionContext
-
-    ctx = ExecutionContext(
-        workers=int(workers),
-        store=store,
-        claim=bool(claim),
-        merge_only=bool(merge_only),
-    )
     params = dict(spec.params)
     params.pop("seed", None)  # already resolved into ``seed``
     if spec.kind == "table1":
@@ -248,12 +236,9 @@ def _preflight(specs: "tuple[ArtifactSpec, ...]") -> None:
 def run_reproduction(
     manifest: ReproductionManifest,
     results_dir: str | Path = "results",
-    store: "ExperimentStore | str | Path | None" = None,
-    workers: int = 1,
+    context: ExecutionContext | None = None,
     only: "list[str] | None" = None,
     echo: bool = False,
-    claim: bool = False,
-    merge_only: bool = False,
 ) -> ReproductionReport:
     """Regenerate the manifest's artifacts into ``results_dir``.
 
@@ -263,36 +248,27 @@ def run_reproduction(
         Parsed manifest (:func:`repro.store.manifest.load_manifest`).
     results_dir:
         Output directory (created if missing).
-    store:
-        Shard cache: an :class:`ExperimentStore`, a directory path to
-        open one at, or ``None`` to disable caching (every shard is
-        simulated fresh and nothing is persisted).
-    workers:
-        Process count for every artifact's sharded sweep; merged
-        statistics are bit-identical for any value.
+    context:
+        :class:`repro.execution.ExecutionContext` shared by every
+        artifact's sharded sweep (``None`` means the defaults).
+        ``workers`` is the process count (merged statistics are
+        bit-identical for any value); ``store`` the shard cache
+        (``None`` disables caching: every shard is simulated fresh and
+        nothing is persisted). ``claim`` lets several hosts pointing
+        ``reproduce`` at one shared store directory partition the
+        manifest's shards between them (see ``docs/scaling.md``);
+        ``merge_only`` assembles artifacts purely from previously
+        computed shards and raises if any shard is missing.
     only:
         Optional artifact-name filter (manifest order is kept).
     echo:
         Print each artifact's table as soon as it is regenerated.
-    claim:
-        Multi-node mode: claim each shard through the store before
-        computing it, so several hosts pointing ``reproduce`` at one
-        shared store directory partition the manifest's shards between
-        them (see ``docs/scaling.md``). Requires ``store``.
-    merge_only:
-        Assemble artifacts purely from previously computed shards;
-        raises if any shard is missing. Requires ``store``; mutually
-        exclusive with ``claim``.
     """
+    ctx = context or ExecutionContext()
+    workers = ctx.workers
+    store = ctx.store
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
-    if store is not None and not isinstance(store, ExperimentStore):
-        store = ExperimentStore(store)
-    if (claim or merge_only) and store is None:
-        raise ValueError(
-            "claim/merge_only coordinate through the experiment "
-            "store; pass store= as well"
-        )
     store_root = store.root if store is not None else None
 
     selected = manifest.select(only)
@@ -303,9 +279,7 @@ def run_reproduction(
         seed = spec.seed_for(manifest.seed)
         before = store.stats.snapshot() if store is not None else StoreStats()
         t0 = time.perf_counter()
-        table, csv_text = _regenerate(
-            spec, seed, workers, store, claim=claim, merge_only=merge_only
-        )
+        table, csv_text = _regenerate(spec, seed, ctx)
         wall = time.perf_counter() - t0
         cache = (
             store.stats.since(before) if store is not None else StoreStats()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.execution import ExecutionContext
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
 from repro.queueing.arrivals import ScriptedRate
@@ -18,7 +19,6 @@ from repro.queueing.clients import (
     per_packet_rate_fractions_batched,
     stack_rules,
 )
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
 from repro.queueing.queue_ctmc import (
     simulate_queues_epoch,
     simulate_queues_epoch_batched,
@@ -91,7 +91,8 @@ class TestGeometry:
 
 
 class TestScalarEquivalence:
-    """E = 1 batched simulation is bit-identical to the scalar wrapper."""
+    """E = 1 batched simulation is bit-identical to the scalar kernels,
+    and the runner's one-replica chunks are reproducible by hand."""
 
     def test_kernel_bit_identical(self, rng):
         states = rng.integers(0, 6, size=20)
@@ -121,40 +122,37 @@ class TestScalarEquivalence:
 
     @pytest.mark.parametrize("per_packet", [False, True])
     def test_finite_episode_bit_identical(self, small_config, per_packet):
-        policy = JoinShortestQueuePolicy(6, 2)
-        scalar = run_episode(
-            FiniteSystemEnv(
-                small_config, per_packet_randomization=per_packet, seed=0
-            ),
-            policy,
-            num_epochs=20,
-            seed=42,
+        """``max_batch_replicas=1`` runs replica ``i`` as an ``E = 1``
+        episode seeded by the ``i``-th spawned child of the master seed."""
+        _assert_unit_chunks_match_manual_loop(
+            small_config,
+            JoinShortestQueuePolicy(6, 2),
+            BatchedFiniteSystemEnv,
+            {"per_packet_randomization": per_packet},
         )
-        batched = run_episodes_batched(
-            BatchedFiniteSystemEnv(
-                small_config,
-                num_replicas=1,
-                per_packet_randomization=per_packet,
-                seed=0,
-            ),
-            policy,
-            num_epochs=20,
-            seed=42,
-        )
-        assert np.array_equal(scalar.per_epoch_drops, batched.per_epoch_drops[0])
 
     def test_infinite_episode_bit_identical(self, small_config):
-        policy = RandomPolicy(6, 2)
-        scalar = run_episode(
-            InfiniteClientEnv(small_config, seed=0), policy, num_epochs=20, seed=5
+        _assert_unit_chunks_match_manual_loop(
+            small_config, RandomPolicy(6, 2), BatchedInfiniteClientEnv, {}
         )
-        batched = run_episodes_batched(
-            BatchedInfiniteClientEnv(small_config, num_replicas=1, seed=0),
-            policy,
-            num_epochs=20,
-            seed=5,
-        )
-        assert np.array_equal(scalar.per_epoch_drops, batched.per_epoch_drops[0])
+
+
+def _assert_unit_chunks_match_manual_loop(config, policy, env_cls, env_kwargs):
+    from repro.experiments.runner import evaluate_policy_finite
+
+    runs, epochs, seed = 3, 20, 42
+    result = evaluate_policy_finite(
+        config, policy, num_runs=runs, num_epochs=epochs, seed=seed,
+        env_cls=env_cls, env_kwargs=env_kwargs,
+        context=ExecutionContext(max_batch_replicas=1),
+    )
+    manual = []
+    for child in np.random.SeedSequence(seed).spawn(runs):
+        rng = np.random.default_rng(child)
+        env = env_cls(config, num_replicas=1, seed=rng, **env_kwargs)
+        episode = run_episodes_batched(env, policy, num_epochs=epochs, seed=rng)
+        manual.append(episode.total_drops_per_queue[0])
+    assert np.array_equal(result.drops, manual)
 
 
 class TestBatchedDynamics:
@@ -212,8 +210,8 @@ class TestBatchedDynamics:
         assert total[:2].sum() < total[2:].sum()
 
     def test_statistical_equivalence_with_scalar(self, small_config):
-        """Batched E-replica drops match the scalar per-run loop in
-        distribution (z-test on the mean, generous bound)."""
+        """Batched E-replica drops match a loop of independent E = 1
+        runs in distribution (z-test on the mean, generous bound)."""
         policy = RandomPolicy(6, 2)
         runs = 24
         batched = run_episodes_batched(
@@ -222,10 +220,12 @@ class TestBatchedDynamics:
             num_epochs=25,
             seed=0,
         ).total_drops_per_queue
-        scalar = np.asarray(
+        single = np.concatenate(
             [
-                run_episode(
-                    FiniteSystemEnv(small_config, seed=100 + i),
+                run_episodes_batched(
+                    BatchedFiniteSystemEnv(
+                        small_config, num_replicas=1, seed=100 + i
+                    ),
                     policy,
                     num_epochs=25,
                     seed=200 + i,
@@ -234,23 +234,24 @@ class TestBatchedDynamics:
             ]
         )
         se = np.hypot(
-            batched.std(ddof=1) / np.sqrt(runs), scalar.std(ddof=1) / np.sqrt(runs)
+            batched.std(ddof=1) / np.sqrt(runs), single.std(ddof=1) / np.sqrt(runs)
         )
-        assert abs(batched.mean() - scalar.mean()) < 4.0 * se
+        assert abs(batched.mean() - single.mean()) < 4.0 * se
 
 
 class TestRunnerBackends:
     def test_backends_agree_in_distribution(self, small_config):
+        """One 16-replica chunk and 16 one-replica chunks draw different
+        streams but sample the same law."""
         from repro.experiments.runner import evaluate_policy_finite
 
         policy = RandomPolicy(6, 2)
         a = evaluate_policy_finite(
             small_config, policy, num_runs=16, num_epochs=15, seed=0,
-            backend="batched",
         )
         b = evaluate_policy_finite(
             small_config, policy, num_runs=16, num_epochs=15, seed=0,
-            backend="scalar",
+            context=ExecutionContext(max_batch_replicas=1),
         )
         se = np.hypot(
             a.drops.std(ddof=1) / 4.0, b.drops.std(ddof=1) / 4.0
@@ -261,23 +262,25 @@ class TestRunnerBackends:
         from repro.experiments.runner import evaluate_policy_finite
 
         policy = RandomPolicy(6, 2)
+        context = ExecutionContext(max_batch_replicas=3)
         result = evaluate_policy_finite(
             small_config, policy, num_runs=7, num_epochs=5, seed=3,
-            backend="batched", max_batch_replicas=3,
+            context=context,
         )
         assert result.drops.shape == (7,)
         repeat = evaluate_policy_finite(
             small_config, policy, num_runs=7, num_epochs=5, seed=3,
-            backend="batched", max_batch_replicas=3,
+            context=context,
         )
         assert np.array_equal(result.drops, repeat.drops)
 
     def test_unknown_backend_rejected(self, small_config):
         from repro.experiments.runner import evaluate_policy_finite
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sim_backend"):
             evaluate_policy_finite(
-                small_config, RandomPolicy(6, 2), num_runs=2, backend="turbo"
+                small_config, RandomPolicy(6, 2), num_runs=2,
+                context=ExecutionContext(sim_backend="turbo"),
             )
 
 

@@ -41,6 +41,32 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_clients",
+            "num_queues",
+            "service_rate",
+            "arrival_rate_high",
+            "arrival_rate_low",
+            "delta_t",
+            "episode_length",
+            "eval_episode_length",
+            "monte_carlo_runs",
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_paper_config_rejects_non_finite_delay(self, value):
+        """Fails at the API boundary, not later inside NumPy's Poisson
+        sampler ("lam value too large")."""
+        with pytest.raises(ValueError, match="delta_t must be finite"):
+            paper_system_config(delta_t=value)
+
     def test_d_cannot_exceed_num_queues(self):
         with pytest.raises(ValueError):
             SystemConfig(num_queues=3, d=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.queueing.batched_env import BatchedFiniteSystemEnv
 from repro.queueing.delayed_env import BatchedDelayedFiniteEnv
@@ -319,6 +320,6 @@ class TestDelayedEnv:
             env_cls=BatchedDelayedFiniteEnv,
             env_kwargs={"delay_model": IIDDelay([0.5, 0.5])},
         )
-        serial = SweepExecutor(workers=1).run([request])[0]
-        pooled = SweepExecutor(workers=2).run([request])[0]
+        serial = SweepExecutor().run([request])[0]
+        pooled = SweepExecutor(ExecutionContext(workers=2)).run([request])[0]
         assert np.array_equal(serial.drops, pooled.drops)

@@ -1,9 +1,9 @@
 """Tests for the consolidated execution knobs (`repro.execution`).
 
-The redesign's migration contract: ``context=ExecutionContext(...)`` is
-the one way to pass workers/store/sim_backend/max_batch_replicas going
-forward; the legacy kwargs still work for one release behind a
-``DeprecationWarning``, and mixing the two styles is a ``TypeError``.
+The contract: ``context=ExecutionContext(...)`` is the only way to pass
+workers/store/sim_backend/max_batch_replicas/claim/merge_only; the
+individual keyword arguments of earlier releases are gone, so passing
+one is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from repro.execution import ExecutionContext, resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.store import ExperimentStore
 
 
@@ -45,53 +45,14 @@ class TestExecutionContext:
         assert ExecutionContext(sim_backend="auto").sim_backend == "auto"
 
 
-class TestResolver:
-    def test_no_arguments_yields_defaults(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # must not warn
-            ctx = resolve_execution_context()
-        assert ctx == ExecutionContext()
-
-    def test_context_passes_through_untouched(self):
-        ctx = ExecutionContext(workers=3, sim_backend="auto")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_execution_context(ctx) is ctx
-
-    def test_legacy_kwargs_warn_and_resolve(self):
-        with pytest.warns(DeprecationWarning, match="sim_backend, workers"):
-            ctx = resolve_execution_context(workers=4, sim_backend="auto")
-        assert ctx.workers == 4
-        assert ctx.sim_backend == "auto"
-        assert ctx.store is None
-
-    def test_mixing_context_and_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both.*workers"):
-            resolve_execution_context(ExecutionContext(), workers=2)
-
-    def test_store_dir_opens_a_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="store_dir"):
-            ctx = resolve_execution_context(store_dir=tmp_path / "cache")
-        assert isinstance(ctx.store, ExperimentStore)
-        assert (tmp_path / "cache").is_dir()
-
-    def test_store_and_store_dir_are_exclusive(self, tmp_path):
-        store = ExperimentStore(tmp_path / "a")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="mutually exclusive"):
-                resolve_execution_context(
-                    store=store, store_dir=tmp_path / "b"
-                )
-
-
 class TestEntryPointThreading:
     """The harness entry points accept context= without warning and
-    reject mixed styles."""
+    reject the removed individual knobs."""
 
     def test_sweep_executor_rejects_mixed_styles(self):
         from repro.experiments.parallel import SweepExecutor
 
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="workers"):
             SweepExecutor(workers=2, context=ExecutionContext(workers=2))
 
     def test_sweep_executor_reads_context(self, tmp_path):
@@ -131,20 +92,61 @@ class TestEntryPointThreading:
 
         config = paper_system_config(num_queues=8)
         policy = policy_suite(config)["RND"]
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="workers"):
             evaluate_policy_finite(
                 config, policy, workers=2, context=ExecutionContext()
             )
 
-    def test_run_stream_scenario_legacy_workers_warn(self):
-        from repro.serving.engine import run_stream_scenario
+    @pytest.mark.parametrize(
+        "entry_point, legacy",
+        [
+            ("repro.experiments.runner:evaluate_policy_finite", "backend"),
+            ("repro.experiments.runner:evaluate_policy_finite", "store"),
+            ("repro.experiments.runner:evaluate_policy_finite", "sim_backend"),
+            (
+                "repro.experiments.runner:evaluate_policy_finite",
+                "max_batch_replicas",
+            ),
+            ("repro.experiments.fig4_convergence:run_fig4", "workers"),
+            ("repro.experiments.fig5_delay_sweep:run_fig5", "store"),
+            ("repro.experiments.fig6_small_n:run_fig6", "sim_backend"),
+            ("repro.scenarios.run:run_scenario", "workers"),
+            ("repro.serving.engine:run_stream_request", "store"),
+            ("repro.serving.engine:run_stream_scenario", "workers"),
+            ("repro.serving.engine:run_stream_scenario", "sim_backend"),
+            ("repro.store.pipeline:run_reproduction", "claim"),
+            ("repro.experiments.parallel:SweepExecutor", "workers"),
+            ("repro.experiments.parallel:SweepExecutor", "store"),
+            ("repro.experiments.parallel:SweepExecutor", "merge_only"),
+        ],
+    )
+    def test_legacy_knobs_are_gone(self, entry_point, legacy):
+        import importlib
+        import inspect
 
-        with pytest.warns(DeprecationWarning, match="workers"):
-            result = run_stream_scenario(
-                "flash-crowd",
-                horizon=4,
-                num_replicas=1,
-                num_queues=10,
-                workers=1,
+        module, name = entry_point.split(":")
+        function = getattr(importlib.import_module(module), name)
+        parameters = inspect.signature(function).parameters
+        assert legacy not in parameters
+        assert "context" in parameters
+
+    def test_merge_only_on_empty_store_raises(self, tmp_path):
+        """``evaluate_policy_finite`` honours the context's merge-only
+        mode exactly like the figure sweeps: nothing is computed."""
+        from repro.config import paper_system_config
+        from repro.experiments.runner import (
+            evaluate_policy_finite,
+            policy_suite,
+        )
+
+        config = paper_system_config(num_queues=8).with_updates(
+            episode_length=4, monte_carlo_runs=2
+        )
+        store = ExperimentStore(tmp_path / "empty")
+        context = ExecutionContext(store=store, merge_only=True)
+        with pytest.raises(RuntimeError, match="merge-only"):
+            evaluate_policy_finite(
+                config, policy_suite(config)["RND"], context=context
             )
-        assert result.horizon == 4
+        assert store.stats.writes == 0
+        assert list(store.iter_keys()) == []

@@ -1,4 +1,8 @@
-"""Tests for the finite-system environments (Algorithm 1)."""
+"""Tests for the finite-system environments (Algorithm 1).
+
+A single system is the ``E = 1`` view of the batched environments, so
+every check here drives ``num_replicas=1`` and reads replica 0.
+"""
 
 import numpy as np
 import pytest
@@ -6,36 +10,52 @@ import pytest
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
 from repro.queueing.arrivals import ScriptedRate
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
+from repro.queueing.batched_env import (
+    BatchedFiniteSystemEnv,
+    BatchedInfiniteClientEnv,
+    run_episodes_batched,
+)
+
+
+def _finite(config, **kwargs):
+    return BatchedFiniteSystemEnv(config, num_replicas=1, **kwargs)
+
+
+def _episode_drops(env, policy, num_epochs, seed) -> float:
+    return float(
+        run_episodes_batched(
+            env, policy, num_epochs=num_epochs, seed=seed
+        ).total_drops_per_queue[0]
+    )
 
 
 class TestLifecycle:
     def test_requires_reset(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = _finite(small_config, seed=0)
         with pytest.raises(RuntimeError):
-            env.empirical_distribution()
+            env.empirical_distributions()
         with pytest.raises(RuntimeError):
             env.step(DecisionRule.uniform(6, 2))
 
     def test_reset_initial_state(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
-        hist = env.reset(seed=1)
+        env = _finite(small_config, seed=0)
+        hist = env.reset(seed=1)[0]
         assert hist[small_config.initial_state] == pytest.approx(1.0)
         assert env.t == 0
-        assert env.lam_mode in (0, 1)
+        assert env.lam_modes[0] in (0, 1)
 
     def test_step_returns_valid_distribution(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = _finite(small_config, seed=0)
         env.reset(seed=1)
-        hist, reward, info = env.step(DecisionRule.uniform(6, 2))
-        assert hist.shape == (6,)
-        assert hist.sum() == pytest.approx(1.0)
-        assert reward <= 0
-        assert info["drops_total"] >= 0
+        hists, rewards, info = env.step(DecisionRule.uniform(6, 2))
+        assert hists.shape == (1, 6)
+        assert hists[0].sum() == pytest.approx(1.0)
+        assert rewards[0] <= 0
+        assert info["drops_total"][0] >= 0
         assert info["t"] == 1
 
     def test_rule_geometry_validated(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = _finite(small_config, seed=0)
         env.reset(seed=1)
         with pytest.raises(ValueError):
             env.step(DecisionRule.uniform(4, 2))
@@ -43,7 +63,7 @@ class TestLifecycle:
             env.step(DecisionRule.uniform(6, 3))
 
     def test_states_remain_in_buffer_range(self, small_config, rng):
-        env = FiniteSystemEnv(small_config, seed=rng)
+        env = _finite(small_config, seed=rng)
         env.reset(rng)
         rule = DecisionRule.join_shortest(6, 2)
         for _ in range(20):
@@ -55,18 +75,18 @@ class TestLifecycle:
     def test_reproducibility(self, small_config):
         results = []
         for _ in range(2):
-            env = FiniteSystemEnv(small_config)
+            env = _finite(small_config)
             env.reset(seed=42)
             rule = DecisionRule.uniform(6, 2)
-            drops = [env.step(rule)[2]["drops_total"] for _ in range(10)]
+            drops = [int(env.step(rule)[2]["drops_total"][0]) for _ in range(10)]
             results.append(drops)
         assert results[0] == results[1]
 
     def test_service_rate_override_validated(self, small_config):
         with pytest.raises(ValueError):
-            FiniteSystemEnv(small_config, service_rates=np.ones(3))
+            _finite(small_config, service_rates=np.ones(3))
         with pytest.raises(ValueError):
-            FiniteSystemEnv(
+            _finite(
                 small_config,
                 service_rates=np.zeros(small_config.num_queues),
             )
@@ -75,25 +95,27 @@ class TestLifecycle:
 class TestFrozenRates:
     def test_finite_rates_scale(self, small_config):
         """Total frozen rate = M·λ_t exactly (counts sum to N)."""
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = _finite(small_config, seed=0)
         env.reset(seed=3)
         _, _, info = env.step(DecisionRule.uniform(6, 2))
-        rates = info["arrival_rates"]
-        lam = 0.9 if env.arrivals.rate(0) else 0.6  # rate at decision time unknown
-        total = rates.sum()
+        total = info["arrival_rates"][0].sum()
         m = small_config.num_queues
         assert total == pytest.approx(m * 0.9) or total == pytest.approx(m * 0.6)
 
     def test_infinite_client_rates_deterministic(self, small_config):
-        """Given the same states/mode, InfiniteClientEnv rates are exact."""
+        """Given the same states/mode, infinite-client rates are exact."""
         scripted = ScriptedRate([0.9, 0.6], [0] * 10)
-        env_a = InfiniteClientEnv(small_config, arrival_process=scripted, seed=0)
-        env_b = InfiniteClientEnv(small_config, arrival_process=scripted, seed=99)
+        env_a = BatchedInfiniteClientEnv(
+            small_config, num_replicas=1, arrival_process=scripted, seed=0
+        )
+        env_b = BatchedInfiniteClientEnv(
+            small_config, num_replicas=1, arrival_process=scripted, seed=99
+        )
         env_a.reset(seed=1)
         env_b.reset(seed=2)
         rule = DecisionRule.join_shortest(6, 2)
-        ra = env_a.step(rule)[2]["arrival_rates"]
-        rb = env_b.step(rule)[2]["arrival_rates"]
+        ra = env_a.step(rule)[2]["arrival_rates"][0]
+        rb = env_b.step(rule)[2]["arrival_rates"][0]
         # both start from identical deterministic initial states
         assert np.allclose(ra, rb)
 
@@ -102,9 +124,10 @@ class TestFrozenRates:
         scripted_modes = [0] * 6
         rule = DecisionRule.join_shortest(6, 2)
 
-        def rate_spread(env_cls, seed):
+        def rate_spread(env_cls, config, seed):
             env = env_cls(
-                small_config,
+                config,
+                num_replicas=1,
                 arrival_process=ScriptedRate([0.9, 0.6], scripted_modes),
                 seed=seed,
             )
@@ -113,51 +136,47 @@ class TestFrozenRates:
             spreads = []
             for _ in range(4):
                 _, _, info = env.step(rule)
-                spreads.append(info["arrival_rates"].std())
+                spreads.append(info["arrival_rates"][0].std())
             return np.mean(spreads)
 
         few_clients = small_config.with_updates(num_clients=30)
-        env_finite = FiniteSystemEnv(
-            few_clients,
-            arrival_process=ScriptedRate([0.9, 0.6], scripted_modes),
-            seed=5,
+        finite_spread = rate_spread(BatchedFiniteSystemEnv, few_clients, 5)
+        infinite_spread = rate_spread(
+            BatchedInfiniteClientEnv, small_config, 5
         )
-        env_finite.reset(seed=5)
-        env_finite.step(rule)
-        finite_spread = np.mean(
-            [env_finite.step(rule)[2]["arrival_rates"].std() for _ in range(4)]
-        )
-        infinite_spread = rate_spread(InfiniteClientEnv, 5)
         # the finite 30-client system has lumpy rates; the limit is smooth
         assert finite_spread > infinite_spread
 
 
 class TestRunEpisode:
     def test_episode_result_fields(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = _finite(small_config, seed=0)
         policy = RandomPolicy(6, 2)
-        result = run_episode(env, policy, num_epochs=15, seed=4)
+        result = run_episodes_batched(env, policy, num_epochs=15, seed=4)
         assert result.num_epochs == 15
-        assert result.per_epoch_drops.shape == (15,)
-        assert result.total_drops_per_queue == pytest.approx(
-            result.per_epoch_drops.sum()
+        assert result.num_replicas == 1
+        assert result.per_epoch_drops.shape == (1, 15)
+        assert result.total_drops_per_queue.shape == (1,)
+        assert result.total_drops_per_queue[0] == pytest.approx(
+            result.per_epoch_drops[0].sum()
         )
-        assert result.total_drops_per_queue >= 0
+        assert result.mean_total_drops == result.total_drops_per_queue[0]
+        assert result.total_drops_per_queue[0] >= 0
 
     def test_default_epochs_follow_paper_rule(self, small_config):
         cfg = small_config.with_updates(delta_t=10.0)
-        env = FiniteSystemEnv(cfg, seed=0)
-        result = run_episode(env, RandomPolicy(6, 2), seed=4)
+        env = _finite(cfg, seed=0)
+        result = run_episodes_batched(env, RandomPolicy(6, 2), seed=4)
         assert result.num_epochs == 50  # round(500/10)
 
     def test_record_distributions(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
-        result = run_episode(
+        env = _finite(small_config, seed=0)
+        result = run_episodes_batched(
             env, JoinShortestQueuePolicy(6, 2), num_epochs=5, seed=4,
             record_distributions=True,
         )
-        assert result.empirical_distributions.shape == (6, 6)
-        assert np.allclose(result.empirical_distributions.sum(axis=1), 1.0)
+        assert result.empirical_distributions.shape == (1, 6, 6)
+        assert np.allclose(result.empirical_distributions.sum(axis=2), 1.0)
 
     def test_jsq_beats_rnd_at_small_delay(self, small_config):
         """At Δt=1 JSQ(2) should clearly dominate RND (paper Figure 5)."""
@@ -169,18 +188,16 @@ class TestRunEpisode:
         ]:
             total = 0.0
             for seed in range(3):
-                env = FiniteSystemEnv(cfg, seed=seed)
-                total += run_episode(env, policy, num_epochs=60, seed=seed).total_drops_per_queue
+                env = _finite(cfg, seed=seed)
+                total += _episode_drops(env, policy, 60, seed)
             drops[name] = total
         assert drops["jsq"] < drops["rnd"]
 
 
 class TestPerPacketRandomization:
     def test_rate_mass_conserved(self, small_config):
-        from repro.queueing.arrivals import ScriptedRate
-
         cfg = small_config.with_updates(num_clients=small_config.num_queues)
-        env = FiniteSystemEnv(
+        env = _finite(
             cfg,
             arrival_process=ScriptedRate([0.9, 0.6], [0] * 5),
             per_packet_randomization=True,
@@ -188,7 +205,7 @@ class TestPerPacketRandomization:
         )
         env.reset(seed=1)
         _, _, info = env.step(DecisionRule.uniform(6, 2))
-        assert info["arrival_rates"].sum() == pytest.approx(
+        assert info["arrival_rates"][0].sum() == pytest.approx(
             cfg.num_queues * 0.9
         )
 
@@ -201,13 +218,13 @@ class TestPerPacketRandomization:
         def mean_rate_std(per_packet, seeds=5):
             stds = []
             for seed in range(seeds):
-                env = FiniteSystemEnv(
+                env = _finite(
                     cfg, per_packet_randomization=per_packet, seed=seed
                 )
                 env.reset(seed=seed)
                 env.step(rule)
                 _, _, info = env.step(rule)
-                stds.append(info["arrival_rates"].std())
+                stds.append(info["arrival_rates"][0].std())
             return float(np.mean(stds))
 
         assert mean_rate_std(True) < mean_rate_std(False)
@@ -215,18 +232,17 @@ class TestPerPacketRandomization:
     def test_identical_in_law_for_deterministic_rule(self, small_config):
         """For JSQ (deterministic given z̄) the two modes coincide in
         distribution — all of a client's packets go the same way."""
-        rule = DecisionRule.join_shortest(6, 2)
         cfg = small_config.with_updates(num_queues=40, num_clients=40)
 
         def mean_drops(per_packet, seeds=6):
             total = 0.0
             for seed in range(seeds):
-                env = FiniteSystemEnv(
+                env = _finite(
                     cfg, per_packet_randomization=per_packet, seed=seed
                 )
-                total += run_episode(
-                    env, JoinShortestQueuePolicy(6, 2), num_epochs=25, seed=seed
-                ).total_drops_per_queue
+                total += _episode_drops(
+                    env, JoinShortestQueuePolicy(6, 2), 25, seed
+                )
             return total / seeds
 
         a = mean_drops(True)

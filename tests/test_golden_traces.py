@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.execution import ExecutionContext
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
@@ -194,13 +195,13 @@ def _build_claimed_sweep() -> dict:
         )
         for offset in (0, 1)
     ]
-    single = SweepExecutor(workers=1).run_drops(requests)
+    single = SweepExecutor().run_drops(requests)
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(tmp)
 
         def claimant(owner: str):
             executor = SweepExecutor(
-                workers=1, store=store, claim=True, claim_owner=owner
+                context=ExecutionContext(store=store, claim=True), claim_owner=owner
             )
             return executor.run_drops(requests)
 

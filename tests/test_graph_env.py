@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import EvalRequest, SweepExecutor
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
@@ -220,6 +221,6 @@ class TestOrchestration:
                 "per_packet_randomization": True,
             },
         )
-        serial = SweepExecutor(workers=1).run_drops([request])
-        sharded = SweepExecutor(workers=2).run_drops([request])
+        serial = SweepExecutor().run_drops([request])
+        sharded = SweepExecutor(ExecutionContext(workers=2)).run_drops([request])
         assert np.array_equal(serial[0], sharded[0])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
+from repro.policies.static import ConstantRulePolicy
+from repro.queueing.batched_env import run_episodes_batched
 from repro.queueing.heterogeneous import (
-    HeterogeneousFiniteEnv,
+    BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
     jsq_rule_heterogeneous,
     rnd_rule_heterogeneous,
@@ -100,31 +102,43 @@ class TestRules:
             assert np.allclose(rule.probs.sum(axis=-1), 1.0)
 
 
+def _single(config, spec, **kwargs):
+    """One heterogeneous system: the ``E = 1`` batched environment."""
+    return BatchedHeterogeneousFiniteEnv(config, spec, num_replicas=1, **kwargs)
+
+
+def _constant_rule_drops(env, rule, num_epochs, seed) -> float:
+    result = run_episodes_batched(
+        env, ConstantRulePolicy(rule), num_epochs=num_epochs, seed=seed
+    )
+    return float(result.total_drops_per_queue[0])
+
+
 class TestHeterogeneousEnv:
     def test_reset_and_step(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
-        hist = env.reset(seed=1)
+        env = _single(small_config, spec, seed=0)
+        hist = env.reset(seed=1)[0]
         assert hist.shape == (12,)
         assert hist.sum() == pytest.approx(1.0)
         rule = sed_rule(spec, small_config.buffer_size, small_config.d)
-        hist2, reward, info = env.step(rule)
-        assert hist2.sum() == pytest.approx(1.0)
-        assert reward <= 0
-        assert info["drops_total"] >= 0
+        hists, rewards, info = env.step(rule)
+        assert hists[0].sum() == pytest.approx(1.0)
+        assert rewards[0] <= 0
+        assert info["drops_total"][0] >= 0
 
     def test_rule_geometry_enforced(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = _single(small_config, spec, seed=0)
         env.reset(seed=1)
         with pytest.raises(ValueError):
             env.step(DecisionRule.uniform(6, 2))  # homogeneous rule
 
     def test_requires_reset(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = _single(small_config, spec, seed=0)
         with pytest.raises(RuntimeError):
             env.observed_states()
 
     def test_service_rates_assigned_by_class(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = _single(small_config, spec, seed=0)
         assert np.all(np.isin(env.service_rates, [0.5, 2.0]))
         assert (env.service_rates == 0.5).sum() == small_config.num_queues // 2
 
@@ -138,17 +152,17 @@ class TestHeterogeneousEnv:
         jsq = jsq_rule_heterogeneous(spec, cfg.buffer_size, cfg.d)
         sed_drops, jsq_drops = 0.0, 0.0
         for seed in range(4):
-            env = HeterogeneousFiniteEnv(cfg, spec, seed=seed)
-            sed_drops += env.run_episode(sed, num_epochs=40, seed=seed)
-            env2 = HeterogeneousFiniteEnv(cfg, spec, seed=seed + 100)
-            jsq_drops += env2.run_episode(jsq, num_epochs=40, seed=seed)
+            env = _single(cfg, spec, seed=seed)
+            sed_drops += _constant_rule_drops(env, sed, 40, seed)
+            env2 = _single(cfg, spec, seed=seed + 100)
+            jsq_drops += _constant_rule_drops(env2, jsq, 40, seed)
         assert sed_drops < jsq_drops
 
     def test_infinite_client_mode_conserves_arrival_mass(self, small_config, spec):
         from repro.queueing.arrivals import ScriptedRate
 
         scripted = ScriptedRate([0.9, 0.6], [0] * 10)
-        env = HeterogeneousFiniteEnv(
+        env = _single(
             small_config, spec, arrival_process=scripted,
             infinite_clients=True, seed=0,
         )
@@ -156,7 +170,7 @@ class TestHeterogeneousEnv:
         rule = sed_rule(spec, small_config.buffer_size, small_config.d)
         _, _, info = env.step(rule)
         # total arrival mass is conserved: Σ_j λ_j = M·λ_t with λ_t = 0.9
-        assert info["arrival_rates"].sum() == pytest.approx(
+        assert info["arrival_rates"][0].sum() == pytest.approx(
             small_config.num_queues * 0.9
         )
         assert info["arrival_rates"].min() >= 0

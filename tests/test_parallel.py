@@ -2,13 +2,14 @@
 
 The contract under test: merged Monte-Carlo statistics are a pure
 function of the master seed and the replica-chunk layout — never of the
-worker count, the execution backend's process topology, or shard
-completion order.
+worker count, the executor's process topology, or shard completion
+order.
 """
 
 import numpy as np
 import pytest
 
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import (
     EvalRequest,
     SweepExecutor,
@@ -43,8 +44,8 @@ def _request(config, policy, **overrides):
 
 class TestEvalRequest:
     def test_backend_validated(self, small_config, jsq):
-        with pytest.raises(ValueError):
-            _request(small_config, jsq, backend="gpu")
+        with pytest.raises(ValueError, match="sim_backend"):
+            _request(small_config, jsq, sim_backend="gpu")
 
     def test_chunk_size_validated(self, small_config, jsq):
         with pytest.raises(ValueError):
@@ -59,20 +60,18 @@ class TestEvalRequest:
         assert req.resolved_runs() == small_config.monte_carlo_runs
 
     def test_backend_resolution(self, small_config, jsq):
-        assert _request(small_config, jsq).uses_batched_backend()
-        assert not _request(
-            small_config, jsq, backend="scalar"
-        ).uses_batched_backend()
-        # A batched env subclass stays on the batched path...
-        assert _request(
-            small_config, jsq, env_cls=BatchedHeterogeneousFiniteEnv
-        ).uses_batched_backend()
-        # ...while a scalar-only class falls back to the scalar loop.
-        from repro.queueing.env import FiniteSystemEnv
+        """Every request runs the batched path: ``env_cls`` must be a
+        batched environment class (``None`` = the finite system)."""
+        assert _request(small_config, jsq).env_cls is None
+        _request(small_config, jsq, env_cls=BatchedHeterogeneousFiniteEnv)
 
-        assert not _request(
-            small_config, jsq, env_cls=FiniteSystemEnv
-        ).uses_batched_backend()
+        class SingleSystemEnv:  # no replica axis
+            def __init__(self, config, seed=None):
+                pass
+
+        for bad in (SingleSystemEnv, dict, "BatchedFiniteSystemEnv"):
+            with pytest.raises(ValueError, match="batched environment"):
+                _request(small_config, jsq, env_cls=bad)
 
 
 class TestDecomposition:
@@ -84,12 +83,18 @@ class TestDecomposition:
         assert all(len(s.seeds) == 1 for s in shards)  # batched: 1 per chunk
 
     def test_scalar_shards_carry_per_run_seeds(self, small_config, jsq):
+        """One-replica chunks carry one spawned child of the master seed
+        per run, in run order."""
         shards = _decompose(
-            [_request(small_config, jsq, backend="scalar", num_runs=5,
-                      max_batch_replicas=3)]
+            [_request(small_config, jsq, num_runs=5, max_batch_replicas=1)]
         )
-        assert [(s.offset, s.num_runs) for s in shards] == [(0, 3), (3, 2)]
-        assert [len(s.seeds) for s in shards] == [3, 2]
+        assert [(s.offset, s.num_runs) for s in shards] == [
+            (i, 1) for i in range(5)
+        ]
+        children = np.random.SeedSequence(7).spawn(5)
+        assert [s.seeds[0].spawn_key for s in shards] == [
+            c.spawn_key for c in children
+        ]
 
     def test_layout_independent_of_worker_count(self, small_config, jsq):
         # Decomposition never consults the executor, only the request.
@@ -101,57 +106,69 @@ class TestDecomposition:
 class TestDeterminism:
     def test_workers_do_not_change_results(self, small_config, jsq):
         req = _request(small_config, jsq)
-        baseline = SweepExecutor(workers=1).run([req])[0]
+        baseline = SweepExecutor(ExecutionContext(workers=1)).run([req])[0]
         for workers in (2, 4):
-            result = SweepExecutor(workers=workers).run([req])[0]
+            pooled = SweepExecutor(ExecutionContext(workers=workers))
+            result = pooled.run([req])[0]
             assert np.array_equal(baseline.drops, result.drops)
             assert baseline.interval == result.interval
 
     def test_sharded_matches_serial_batched(self, small_config, jsq):
         serial = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2,
+            context=ExecutionContext(max_batch_replicas=2),
         )
-        sharded = SweepExecutor(workers=2).run([_request(small_config, jsq)])[0]
+        sharded = SweepExecutor(ExecutionContext(workers=2)).run(
+            [_request(small_config, jsq)]
+        )[0]
         assert np.array_equal(serial.drops, sharded.drops)
 
     def test_sharded_matches_serial_scalar(self, small_config, jsq):
+        """One-replica chunks: the serial runner and the pool agree."""
         serial = evaluate_policy_finite(
             small_config, jsq, num_runs=5, num_epochs=4, seed=11,
-            backend="scalar",
+            context=ExecutionContext(max_batch_replicas=1),
         )
-        sharded = SweepExecutor(workers=2).run(
-            [_request(small_config, jsq, backend="scalar", num_runs=5,
-                      seed=11, max_batch_replicas=2)]
+        sharded = SweepExecutor(ExecutionContext(workers=2)).run(
+            [_request(small_config, jsq, num_runs=5, seed=11,
+                      max_batch_replicas=1)]
         )[0]
         assert np.array_equal(serial.drops, sharded.drops)
 
     def test_scalar_batched_sharded_triple_identity(self, small_config, jsq):
-        """Same master seed ⇒ identical results across all three execution
-        styles (scalar loop, single-replica batched chunks, process pool)."""
-        scalar = evaluate_policy_finite(
-            small_config, jsq, num_runs=4, num_epochs=4, seed=3,
-            backend="scalar",
+        """Same master seed ⇒ identical results across three execution
+        styles: a hand-written loop of ``E = 1`` episodes, single-replica
+        chunks in-process, and single-replica chunks on a process pool."""
+        from repro.queueing.batched_env import (
+            BatchedFiniteSystemEnv,
+            run_episodes_batched,
         )
+
+        manual = []
+        for child in np.random.SeedSequence(3).spawn(4):
+            rng = np.random.default_rng(child)
+            env = BatchedFiniteSystemEnv(small_config, num_replicas=1, seed=rng)
+            episode = run_episodes_batched(env, jsq, num_epochs=4, seed=rng)
+            manual.append(episode.total_drops_per_queue[0])
         batched = evaluate_policy_finite(
             small_config, jsq, num_runs=4, num_epochs=4, seed=3,
-            backend="batched", max_batch_replicas=1,
+            context=ExecutionContext(max_batch_replicas=1),
         )
-        sharded = SweepExecutor(workers=2).run(
+        sharded = SweepExecutor(ExecutionContext(workers=2)).run(
             [_request(small_config, jsq, num_runs=4, seed=3,
                       max_batch_replicas=1)]
         )[0]
-        assert np.array_equal(scalar.drops, batched.drops)
-        assert np.array_equal(scalar.drops, sharded.drops)
+        assert np.array_equal(manual, batched.drops)
+        assert np.array_equal(manual, sharded.drops)
 
     def test_evaluate_policy_finite_workers_param(self, small_config, jsq):
         serial = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2,
+            context=ExecutionContext(max_batch_replicas=2),
         )
         pooled = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2, workers=2,
+            context=ExecutionContext(max_batch_replicas=2, workers=2),
         )
         assert np.array_equal(serial.drops, pooled.drops)
 
@@ -164,7 +181,7 @@ class TestDeterminism:
             _request(small_config, jsq),
             _request(small_config, rnd, num_runs=4),
         ]
-        merged = SweepExecutor(workers=2).run(requests)
+        merged = SweepExecutor(ExecutionContext(workers=2)).run(requests)
         assert [r.policy_name for r in merged] == ["JSQ(2)", "RND"]
         assert merged[0].drops.shape == (6,)
         assert merged[1].drops.shape == (4,)
@@ -172,7 +189,9 @@ class TestDeterminism:
             serial = evaluate_policy_finite(
                 req.config, req.policy, num_runs=req.num_runs,
                 num_epochs=req.num_epochs, seed=req.seed,
-                max_batch_replicas=req.max_batch_replicas,
+                context=ExecutionContext(
+                    max_batch_replicas=req.max_batch_replicas
+                ),
             )
             assert np.array_equal(serial.drops, res.drops)
 
@@ -185,11 +204,15 @@ class TestDeterminism:
             num_runs=4, num_epochs=4, seed=5,
             env_cls=BatchedHeterogeneousFiniteEnv,
             env_kwargs={"spec": spec},
-            max_batch_replicas=2,
         )
-        serial = evaluate_policy_finite(small_config, sed, **kwargs)
+        serial = evaluate_policy_finite(
+            small_config, sed,
+            context=ExecutionContext(max_batch_replicas=2), **kwargs
+        )
         pooled = evaluate_policy_finite(
-            small_config, sed, workers=2, **kwargs
+            small_config, sed,
+            context=ExecutionContext(max_batch_replicas=2, workers=2),
+            **kwargs,
         )
         assert np.array_equal(serial.drops, pooled.drops)
 
@@ -197,22 +220,23 @@ class TestDeterminism:
 class TestExecutor:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
-            SweepExecutor(workers=0)
+            SweepExecutor(ExecutionContext(workers=0))
 
-    def test_default_workers_is_cpu_count(self):
-        import os
-
-        assert SweepExecutor().workers == (os.cpu_count() or 1)
+    def test_default_context_runs_in_process(self):
+        executor = SweepExecutor()
+        assert executor.workers == 1
+        assert executor.store is None
+        assert not executor.claim and not executor.merge_only
 
     def test_worker_exception_propagates(self, small_config, jsq):
         bad = _request(
             small_config, jsq, env_kwargs={"no_such_option": True}
         )
         with pytest.raises(TypeError):
-            SweepExecutor(workers=2).run([bad])
+            SweepExecutor(ExecutionContext(workers=2)).run([bad])
 
     def test_run_drops_returns_raw_arrays(self, small_config, jsq):
-        drops = SweepExecutor(workers=1).run_drops(
+        drops = SweepExecutor().run_drops(
             [_request(small_config, jsq)]
         )
         assert len(drops) == 1
@@ -232,12 +256,12 @@ class TestClaimedExecution:
         from repro.store.store import ExperimentStore
 
         requests = [_request(small_config, jsq)]
-        single = SweepExecutor(workers=1).run_drops(requests)
+        single = SweepExecutor().run_drops(requests)
         store = ExperimentStore(tmp_path / "store")
 
         def claimant(owner):
             executor = SweepExecutor(
-                workers=1, store=store, claim=True, claim_owner=owner
+                ExecutionContext(store=store, claim=True), claim_owner=owner
             )
             return executor.run_drops(requests)
 
@@ -251,7 +275,6 @@ class TestClaimedExecution:
     def test_execution_context_carries_claim_flags(
         self, small_config, jsq, tmp_path
     ):
-        from repro.execution import ExecutionContext
         from repro.store.store import ExperimentStore
 
         store = ExperimentStore(tmp_path / "store")
@@ -259,13 +282,12 @@ class TestClaimedExecution:
         executor = SweepExecutor(context=context)
         assert executor.claim and executor.store is store
         claimed = executor.run_drops([_request(small_config, jsq)])
-        plain = SweepExecutor(workers=1).run_drops(
+        plain = SweepExecutor().run_drops(
             [_request(small_config, jsq)]
         )
         np.testing.assert_array_equal(claimed[0], plain[0])
 
     def test_context_validates_claim_flags(self, tmp_path):
-        from repro.execution import ExecutionContext
         from repro.store.store import ExperimentStore
 
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -289,8 +311,8 @@ class TestFigureWorkers:
             mf_policies={5.0: RandomPolicy(6, 2)},
             seed=0,
         )
-        serial = run_fig5(workers=1, **kwargs)
-        pooled = run_fig5(workers=2, **kwargs)
+        serial = run_fig5(context=ExecutionContext(workers=1), **kwargs)
+        pooled = run_fig5(context=ExecutionContext(workers=2), **kwargs)
         for name in serial.results:
             for a, b in zip(serial.results[name], pooled.results[name]):
                 assert np.array_equal(a.drops, b.drops)
@@ -306,8 +328,8 @@ class TestFigureWorkers:
             mf_eval_episodes=2,
             seed=0,
         )
-        serial = run_fig4(workers=1, **kwargs)
-        pooled = run_fig4(workers=2, **kwargs)
+        serial = run_fig4(context=ExecutionContext(workers=1), **kwargs)
+        pooled = run_fig4(context=ExecutionContext(workers=2), **kwargs)
         for a, b in zip(serial.results, pooled.results):
             assert np.array_equal(a.drops, b.drops)
         assert serial.mean_field_value == pooled.mean_field_value

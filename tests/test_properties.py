@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.execution import ExecutionContext
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import (
     epoch_update,
@@ -246,9 +247,9 @@ def test_graph_full_mesh_bit_identical_to_dense(params, num_replicas):
 @given(params=BATCH_CONFIGS, env_kind=st.sampled_from(["dense", "graph"]))
 @settings(max_examples=10, deadline=None)
 def test_scalar_vs_batched_bit_identity_at_unit_chunks(params, env_kind):
-    """The scalar backend and the batched backend chunked at
-    max_batch_replicas=1 spawn the same per-run generators, so their
-    per-replica drops are bit-identical — including for graph envs."""
+    """Runs chunked at max_batch_replicas=1 (one spawned generator per
+    run, the single-system path) are reproducible call-to-call — for
+    dense and graph envs alike."""
     from repro.experiments.runner import evaluate_policy_finite
     from repro.policies.static import JoinShortestQueuePolicy
     from repro.queueing.graph_env import BatchedGraphFiniteEnv
@@ -265,11 +266,9 @@ def test_scalar_vs_batched_bit_identity_at_unit_chunks(params, env_kind):
             ),
             "per_packet_randomization": params["per_packet"],
         }
-        scalar_kwargs = None  # graph envs have no scalar twin
     else:
         env_cls = None
         env_kwargs = {"per_packet_randomization": params["per_packet"]}
-        scalar_kwargs = env_kwargs
     batched = evaluate_policy_finite(
         config,
         policy,
@@ -278,21 +277,8 @@ def test_scalar_vs_batched_bit_identity_at_unit_chunks(params, env_kind):
         seed=params["seed"],
         env_cls=env_cls,
         env_kwargs=env_kwargs,
-        backend="batched",
-        max_batch_replicas=1,
+        context=ExecutionContext(max_batch_replicas=1),
     )
-    if scalar_kwargs is not None:
-        scalar = evaluate_policy_finite(
-            config,
-            policy,
-            num_runs=3,
-            num_epochs=4,
-            seed=params["seed"],
-            env_kwargs=scalar_kwargs,
-            backend="scalar",
-        )
-        assert np.array_equal(batched.drops, scalar.drops)
-    # E=1-per-chunk graph runs must also be reproducible call-to-call.
     again = evaluate_policy_finite(
         config,
         policy,
@@ -301,8 +287,7 @@ def test_scalar_vs_batched_bit_identity_at_unit_chunks(params, env_kind):
         seed=params["seed"],
         env_cls=env_cls,
         env_kwargs=env_kwargs,
-        backend="batched",
-        max_batch_replicas=1,
+        context=ExecutionContext(max_batch_replicas=1),
     )
     assert np.array_equal(batched.drops, again.drops)
 
@@ -346,15 +331,15 @@ def test_chunk_boundary_merge_is_deterministic(params, num_runs, boundary):
             "per_packet_randomization": params["per_packet"],
         },
     )
-    first = SweepExecutor(workers=1).run_drops([request])[0]
-    second = SweepExecutor(workers=1).run_drops([request])[0]
+    first = SweepExecutor().run_drops([request])[0]
+    second = SweepExecutor().run_drops([request])[0]
     assert np.array_equal(first, second)
     assert first.shape == (num_runs,)
     # The pool path must agree shard-for-shard with the in-process path
     # (same chunk layout, any execution order). Note SweepExecutor
     # short-circuits single-shard requests, so only the 1 and E-1
     # boundaries actually cross process boundaries here.
-    pooled = SweepExecutor(workers=2).run_drops([request])[0]
+    pooled = SweepExecutor(ExecutionContext(workers=2)).run_drops([request])[0]
     assert np.array_equal(first, pooled)
 
 
@@ -653,8 +638,10 @@ def test_chunk_merge_determinism_with_compiled_backend(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        compiled = SweepExecutor(workers=1).run_drops([request("numba")])[0]
-        pooled = SweepExecutor(workers=2).run_drops([request("numba")])[0]
-    reference = SweepExecutor(workers=1).run_drops([request("numpy")])[0]
+        compiled = SweepExecutor().run_drops([request("numba")])[0]
+        pooled = SweepExecutor(ExecutionContext(workers=2)).run_drops(
+            [request("numba")]
+        )[0]
+    reference = SweepExecutor().run_drops([request("numpy")])[0]
     assert np.array_equal(compiled, reference)
     assert np.array_equal(pooled, reference)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import EvalRequest, SweepExecutor, _decompose
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
 from repro.store import (
@@ -172,7 +173,7 @@ class TestShardKeys:
         [
             {"seed": 8},
             {"num_epochs": 5},
-            {"backend": "scalar"},
+            {"max_batch_replicas": 3},
             {"env_kwargs": {"per_packet_randomization": False}},
         ],
     )
@@ -258,21 +259,21 @@ class TestExperimentStore:
 
 class TestExecutorCaching:
     def _cold(self, requests):
-        return SweepExecutor(workers=1).run_drops(requests)
+        return SweepExecutor().run_drops(requests)
 
     def test_cold_run_with_store_is_bit_identical(self, config, jsq, rnd, store):
         requests = [_request(config, jsq), _request(config, rnd)]
         cold = self._cold(requests)
-        cached = SweepExecutor(workers=1, store=store).run_drops(requests)
+        cached = SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         for a, b in zip(cold, cached):
             np.testing.assert_array_equal(a, b)
         assert store.stats.misses == 6 and store.stats.writes == 6
 
     def test_warm_run_recomputes_nothing(self, config, jsq, store):
         requests = [_request(config, jsq)]
-        first = SweepExecutor(workers=1, store=store).run_drops(requests)
+        first = SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         before = store.stats.snapshot()
-        second = SweepExecutor(workers=1, store=store).run_drops(requests)
+        second = SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         delta = store.stats.since(before)
         np.testing.assert_array_equal(first[0], second[0])
         assert delta.hits == 3 and delta.misses == 0 and delta.writes == 0
@@ -285,15 +286,15 @@ class TestExecutorCaching:
         must merge cached + fresh shards to exactly the cold numbers."""
         requests = [_request(config, jsq), _request(config, rnd)]
         cold = self._cold(requests)
-        SweepExecutor(workers=1, store=store).run_drops(requests)
+        SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         # Simulate the kill: only a subset of shards was persisted.
         persisted = sorted(store.iter_keys())
         for key in persisted[::2]:
             store.path_for(key).unlink()
         before = store.stats.snapshot()
-        resumed = SweepExecutor(workers=workers, store=store).run_drops(
-            requests
-        )
+        resumed = SweepExecutor(
+            ExecutionContext(workers=workers, store=store)
+        ).run_drops(requests)
         delta = store.stats.since(before)
         for a, b in zip(cold, resumed):
             np.testing.assert_array_equal(a, b)
@@ -305,19 +306,20 @@ class TestExecutorCaching:
         """A sweep containing an already-computed cell only simulates
         the genuinely new cells (cross-figure-grid sharing)."""
         first = [_request(config, jsq)]
-        SweepExecutor(workers=1, store=store).run_drops(first)
+        SweepExecutor(ExecutionContext(store=store)).run_drops(first)
         before = store.stats.snapshot()
         both = [_request(config, jsq), _request(config, rnd)]
-        SweepExecutor(workers=1, store=store).run_drops(both)
+        SweepExecutor(ExecutionContext(store=store)).run_drops(both)
         delta = store.stats.since(before)
         assert delta.hits == 3 and delta.misses == 3
 
     def test_scalar_backend_shards_cache_too(self, config, jsq, store):
-        requests = [_request(config, jsq, backend="scalar")]
+        """One-replica chunks (the single-system runs) cache too."""
+        requests = [_request(config, jsq, max_batch_replicas=1)]
         cold = self._cold(requests)
-        SweepExecutor(workers=1, store=store).run_drops(requests)
+        SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         before = store.stats.snapshot()
-        warm = SweepExecutor(workers=1, store=store).run_drops(requests)
+        warm = SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         np.testing.assert_array_equal(cold[0], warm[0])
         assert store.stats.since(before).misses == 0
 
@@ -373,7 +375,7 @@ def _claimed_sweep_worker(store_root, owner, queue):
     ]
     store = ExperimentStore(store_root)
     executor = SweepExecutor(
-        workers=1, store=store, claim=True, claim_owner=owner
+        context=ExecutionContext(store=store, claim=True), claim_owner=owner
     )
     merged = executor.run_drops(requests)
     queue.put((owner, [d.tolist() for d in merged], store.stats.writes))
@@ -392,7 +394,7 @@ class TestMultiNodeClaiming:
         nodes must merge bit-identically to a single-host run."""
         import multiprocessing as mp
 
-        cold = SweepExecutor(workers=1).run_drops(
+        cold = SweepExecutor().run_drops(
             self._requests(config, jsq, rnd)
         )
         store_root = tmp_path / "shared-store"
@@ -426,7 +428,7 @@ class TestMultiNodeClaiming:
         import time
 
         requests = [_request(config, jsq)]
-        cold = SweepExecutor(workers=1).run_drops(requests)
+        cold = SweepExecutor().run_drops(requests)
         shards = _decompose(requests)
         dead_key = shard_key(requests[0], shards[0])
         assert store.try_claim(dead_key, "killed-node")
@@ -434,7 +436,7 @@ class TestMultiNodeClaiming:
         old = time.time() - 3600.0
         os.utime(path, (old, old))
         rescuer = SweepExecutor(
-            workers=1, store=store, claim=True,
+            context=ExecutionContext(store=store, claim=True),
             claim_owner="rescuer", stale_claim_after=60.0,
         )
         merged = rescuer.run_drops(requests)
@@ -450,23 +452,23 @@ class TestMultiNodeClaiming:
         busy_key = shard_key(requests[0], shards[0])
         assert store.try_claim(busy_key, "busy-node")
         executor = SweepExecutor(
-            workers=1, store=store, claim=True,
+            context=ExecutionContext(store=store, claim=True),
             claim_poll_interval=0.01, claim_timeout=0.1,
         )
         with pytest.raises(TimeoutError, match="still claimed"):
             executor.run_drops(requests)
 
     def test_merge_only_cold_store_raises(self, config, jsq, store):
-        executor = SweepExecutor(workers=1, store=store, merge_only=True)
+        executor = SweepExecutor(ExecutionContext(store=store, merge_only=True))
         with pytest.raises(RuntimeError, match="missing 3 shard"):
             executor.run_drops([_request(config, jsq)])
 
     def test_merge_only_warm_store_computes_nothing(self, config, jsq, store):
         requests = [_request(config, jsq)]
-        first = SweepExecutor(workers=1, store=store).run_drops(requests)
+        first = SweepExecutor(ExecutionContext(store=store)).run_drops(requests)
         before = store.stats.snapshot()
         merged = SweepExecutor(
-            workers=1, store=store, merge_only=True
+            context=ExecutionContext(store=store, merge_only=True)
         ).run_drops(requests)
         delta = store.stats.since(before)
         np.testing.assert_array_equal(merged[0], first[0])
@@ -475,12 +477,12 @@ class TestMultiNodeClaiming:
 
     def test_claim_and_merge_only_mutually_exclusive(self, store):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            SweepExecutor(workers=1, store=store, claim=True, merge_only=True)
+            SweepExecutor(ExecutionContext(store=store, claim=True, merge_only=True))
 
     @pytest.mark.parametrize("flag", ["claim", "merge_only"])
     def test_claiming_requires_a_store(self, flag):
         with pytest.raises(ValueError, match="experiment store"):
-            SweepExecutor(workers=1, **{flag: True})
+            SweepExecutor(ExecutionContext(**{flag: True}))
 
 
 TINY_MANIFEST = """
@@ -556,8 +558,10 @@ class TestReproduce:
         report = run_reproduction(
             tiny_manifest,
             results_dir=results,
-            store=tmp_path / f"store-w{workers}",
-            workers=workers,
+            context=ExecutionContext(
+                workers=workers,
+                store=ExperimentStore(tmp_path / f"store-w{workers}"),
+            ),
         )
         assert [r.spec.name for r in report.runs] == list(
             tiny_manifest.names()
@@ -582,8 +586,10 @@ class TestReproduce:
             run_reproduction(
                 tiny_manifest,
                 results_dir=results,
-                store=tmp_path / f"st-{workers}",
-                workers=workers,
+                context=ExecutionContext(
+                    workers=workers,
+                    store=ExperimentStore(tmp_path / f"st-{workers}"),
+                ),
             )
             texts[workers] = {
                 # Scenario table titles embed the worker count; mask it
@@ -595,12 +601,12 @@ class TestReproduce:
         assert texts[1] == texts[2]
 
     def test_warm_run_hits_at_least_90_percent(self, tiny_manifest, tmp_path):
-        store = tmp_path / "store"
+        context = ExecutionContext(store=ExperimentStore(tmp_path / "store"))
         run_reproduction(
-            tiny_manifest, results_dir=tmp_path / "r1", store=store, workers=1
+            tiny_manifest, results_dir=tmp_path / "r1", context=context
         )
         warm = run_reproduction(
-            tiny_manifest, results_dir=tmp_path / "r2", store=store, workers=1
+            tiny_manifest, results_dir=tmp_path / "r2", context=context
         )
         assert warm.hit_rate >= 0.9
         assert warm.cache.misses == 0 and warm.cache.writes == 0
@@ -613,13 +619,12 @@ class TestReproduce:
     def test_interrupted_reproduce_resumes_bit_identical(
         self, tiny_manifest, tmp_path
     ):
-        cold = run_reproduction(
-            tiny_manifest, results_dir=tmp_path / "cold", store=None, workers=1
-        )
+        cold = run_reproduction(tiny_manifest, results_dir=tmp_path / "cold")
         store_dir = tmp_path / "store"
         run_reproduction(
-            tiny_manifest, results_dir=tmp_path / "full", store=store_dir,
-            workers=1,
+            tiny_manifest,
+            results_dir=tmp_path / "full",
+            context=ExecutionContext(store=ExperimentStore(store_dir)),
         )
         # Simulate the kill: drop a subset of the persisted shards, then
         # resume into a fresh results dir.
@@ -629,8 +634,9 @@ class TestReproduce:
         for key in keys[::2]:
             store.path_for(key).unlink()
         resumed = run_reproduction(
-            tiny_manifest, results_dir=tmp_path / "resumed", store=store,
-            workers=1,
+            tiny_manifest,
+            results_dir=tmp_path / "resumed",
+            context=ExecutionContext(store=store),
         )
         assert 0 < resumed.cache.hits < len(keys)
         for run in cold.runs:
@@ -644,8 +650,6 @@ class TestReproduce:
         report = run_reproduction(
             tiny_manifest,
             results_dir=tmp_path / "res",
-            store=None,
-            workers=1,
             only=["table1"],
         )
         assert [r.spec.name for r in report.runs] == ["table1"]
@@ -658,14 +662,14 @@ class TestWriteFailureTolerance:
     ):
         """A store that cannot persist must not abort the sweep or change
         its numbers — the simulated result is already correct."""
-        cold = SweepExecutor(workers=1).run_drops([_request(config, jsq)])
+        cold = SweepExecutor().run_drops([_request(config, jsq)])
 
         def broken_put(*args, **kwargs):
             raise OSError("disk full")
 
         monkeypatch.setattr(store, "put_shard", broken_put)
         with pytest.warns(RuntimeWarning, match="store write failed"):
-            cached = SweepExecutor(workers=1, store=store).run_drops(
+            cached = SweepExecutor(ExecutionContext(store=store)).run_drops(
                 [_request(config, jsq)]
             )
         np.testing.assert_array_equal(cold[0], cached[0])
@@ -681,6 +685,4 @@ class TestWriteFailureTolerance:
             }
         )
         with pytest.raises(ValueError, match="unregistered scenario"):
-            run_reproduction(
-                manifest, results_dir=tmp_path / "res", store=None
-            )
+            run_reproduction(manifest, results_dir=tmp_path / "res")
