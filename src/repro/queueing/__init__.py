@@ -16,14 +16,10 @@ from repro.queueing.backends import (
     get_backend,
     runnable_backends,
 )
-from repro.queueing.queue_ctmc import (
-    simulate_queues_epoch,
-    simulate_queues_epoch_batched,
-)
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 from repro.queueing.clients import (
     expected_choice_counts,
     sample_client_choices,
-    sample_client_choices_batched,
 )
 from repro.queueing.batched_env import (
     BatchedEpisodeResult,
@@ -94,10 +90,8 @@ __all__ = [
     "available_backends",
     "get_backend",
     "runnable_backends",
-    "simulate_queues_epoch",
     "simulate_queues_epoch_batched",
     "sample_client_choices",
-    "sample_client_choices_batched",
     "expected_choice_counts",
     "BatchedFiniteSystemEnv",
     "BatchedInfiniteClientEnv",

@@ -5,6 +5,9 @@ The choose stage delegates to the shared sampled-state primitives of
 uniformization pass of :mod:`repro.queueing.queue_ctmc` — exactly the
 code paths the environments ran before the backend protocol existed, so
 adopting the protocol changed no random stream and no golden trace.
+The environments reach those choose primitives only through this
+kernel, from the one dispatch path of
+:mod:`repro.queueing.batched_env`.
 Every other backend is gated against this kernel by the conformance
 harness (:mod:`repro.queueing.backends.conformance`).
 """

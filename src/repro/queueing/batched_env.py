@@ -6,10 +6,18 @@ of the ``N``-client ``M``-queue system. Stepping those replicas one at a
 time leaves NumPy dispatch overhead as the dominant cost for the paper's
 ``M ≤ 1000``-queue systems, so this module runs all replicas through the
 same array operations: queue states are shaped ``(E, M)``, every replica
-carries its own arrival-mode chain state, and one call into the batched
-client/queue kernels (:mod:`repro.queueing.clients`,
-:mod:`repro.queueing.queue_ctmc`) advances the whole ensemble by one
+carries its own arrival-mode chain state, and one pass through the
+epoch kernel's sample, choose and serve stages
+(:mod:`repro.queueing.backends`) advances the whole ensemble by one
 decision epoch.
+
+Every finite environment turns its clients' picks into Eq. 5 rates
+through one base-class path, ``_BatchedQueueSystemBase._dispatch_rates``
+(with ``_delay_mixture_rates`` for snapshot-age mixtures). An
+environment family supplies only *where* clients sample
+(``_sample_queues``; the graph environment's neighborhood gather) and
+*what* they observe (the states passed in: heterogeneous ``z·C + c``
+codes, hybrid tracked plus virtual field states, delayed snapshots).
 
 :class:`BatchedFiniteSystemEnv` is the ``E``-replica ``N``-client system
 of Section 2.1; :class:`BatchedInfiniteClientEnv` the ``N → ∞`` system
@@ -27,7 +35,7 @@ expected speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from repro.queueing.arrivals import MarkovModulatedRate
 from repro.queueing.backends import draw_uniform_queue_samples, get_backend
 from repro.queueing.clients import (
     infinite_client_rates_batched,
+    replica_state_counts,
     stack_rules,
 )
 from repro.utils.rng import as_generator
@@ -44,6 +53,7 @@ from repro.utils.rng import as_generator
 if TYPE_CHECKING:  # import cycle: policies build on top of the queue substrate
     from repro.policies.base import UpperLevelPolicy
     from repro.queueing.chaos import DegradationSchedule
+    from repro.queueing.delays import DelayModel
 
 __all__ = [
     "BatchedFiniteSystemEnv",
@@ -139,11 +149,9 @@ class _BatchedQueueSystemBase:
         """``H_t`` per replica (Eq. 2), shape ``(E, S)``."""
         if self._states is None:
             raise RuntimeError("environment must be reset before use")
-        s = self.config.num_queue_states
-        offsets = np.arange(self.num_replicas, dtype=np.int64)[:, None] * s
-        counts = np.bincount(
-            (self._states + offsets).ravel(), minlength=self.num_replicas * s
-        ).reshape(self.num_replicas, s)
+        counts = replica_state_counts(
+            self._states, self.config.num_queue_states
+        )
         return counts.astype(np.float64) / self.config.num_queues
 
     def reset(self, seed=None) -> np.ndarray:
@@ -170,10 +178,95 @@ class _BatchedQueueSystemBase:
             self._chaos_state = self.chaos.bind(self)
         return self.empirical_distributions()
 
-    # -- template step ----------------------------------------------------
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        raise NotImplementedError
+    # -- dispatch: sample -> choose -> Eq. 5 ------------------------------
+    def _sample_queues(self, d: int) -> np.ndarray:
+        """Sample stage: every client's ``d`` queue indices, ``(E, N, d)``.
 
+        Uniform over all ``M`` queues with replacement (Eq. 3); sparse
+        topologies override this with a neighborhood gather.
+        """
+        return draw_uniform_queue_samples(
+            self._rng,
+            self.num_replicas,
+            self.config.num_clients,
+            d,
+            self.config.num_queues,
+        )
+
+    def _packet_fractions(
+        self, observed: np.ndarray, probs: np.ndarray
+    ) -> np.ndarray:
+        """One sample draw plus the kernel's per-packet choose pass."""
+        sampled = self._sample_queues(probs.ndim - 2)
+        return self.kernel.packet_fractions(
+            observed, sampled, probs, self.config.num_clients
+        )
+
+    def _dispatch_rates(
+        self, observed: np.ndarray, probs: np.ndarray
+    ) -> np.ndarray:
+        """Frozen per-queue rates for clients that see ``observed``.
+
+        ``observed`` holds the ``(E, M)`` per-queue states the clients
+        read off their samples and ``probs`` the stacked rule table.
+        Committed choice gives ``λ_j = M λ_t · count_j / N`` (Eq. 5);
+        per-packet randomization (remark below Eq. 4) thins every
+        packet over the clients' full routing distributions instead.
+        """
+        lam = self.current_rates[:, None]
+        m = self.config.num_queues
+        if self.per_packet_randomization:
+            return m * lam * self._packet_fractions(observed, probs)
+        sampled = self._sample_queues(probs.ndim - 2)
+        counts = self.kernel.committed_counts(
+            observed, sampled, probs, self._rng
+        )
+        return m * lam * counts.astype(np.float64) / self.config.num_clients
+
+    def _delay_mixture_rates(
+        self,
+        probs: np.ndarray,
+        delay_model: "DelayModel",
+        regimes: np.ndarray,
+        snapshot: Callable[[int], np.ndarray],
+        observe: Callable[[np.ndarray, int], np.ndarray] = (
+            lambda states, age: states
+        ),
+    ) -> np.ndarray:
+        """Per-packet frozen rates mixed over dispatcher snapshot ages.
+
+        A fraction ``w_k`` of the dispatchers (drawn per replica from
+        ``delay_model`` in ``regimes``) routes against ``snapshot(k)``,
+        the states broadcast ``k`` epochs ago, so by Poisson thinning
+        queue ``j`` receives ``M λ_t Σ_k w_k f_k[j]`` with one sample
+        and per-packet choose pass per age of positive mass (the delay
+        mixture of Doldo & Pender, arXiv:2112.05899). ``observe(states,
+        age)`` maps queue states to what their dispatchers see. A point
+        mass at age 0 routes against the live states through
+        :meth:`_dispatch_rates` and draws nothing extra, so it matches
+        the undelayed environment bit for bit.
+        """
+        if delay_model.is_point_mass_at_zero:
+            return self._dispatch_rates(observe(self._states, 0), probs)
+        weights = delay_model.sample_fractions_batch(
+            regimes, self.config.num_clients, self._rng
+        )
+        mixed = np.zeros((self.num_replicas, self.config.num_queues))
+        for age in range(delay_model.max_delay + 1):
+            w = weights[:, age]
+            if not np.any(w > 0.0):
+                continue
+            observed = observe(snapshot(age), age)
+            mixed += w[:, None] * self._packet_fractions(observed, probs)
+        return self.config.num_queues * self.current_rates[:, None] * mixed
+
+    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
+        """Per-queue arrival rates of this epoch, ``(E, M)``."""
+        return self._dispatch_rates(
+            self._states, stack_rules(rules, self.num_replicas)
+        )
+
+    # -- template step ----------------------------------------------------
     def _check_rules(self, rules: RulesLike) -> None:
         first = rules if isinstance(rules, DecisionRule) else rules[0]
         if (
@@ -289,34 +382,6 @@ class BatchedFiniteSystemEnv(_BatchedQueueSystemBase):
     (Eq. 5) for ``Δt`` time units; all replicas advance in one batched
     kernel call.
     """
-
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        if self.per_packet_randomization:
-            # Paper remark below Eq. (4): in the experiments every packet
-            # re-samples its slot, so the frozen rate thins over the
-            # clients' full routing distributions instead of commitments.
-            fractions = self.kernel.packet_fractions(
-                self._states, sampled, probs, self.config.num_clients
-            )
-            return self.config.num_queues * lam * fractions
-        counts = self.kernel.committed_counts(
-            self._states, sampled, probs, self._rng
-        )
-        return (
-            self.config.num_queues
-            * lam
-            * counts.astype(np.float64)
-            / self.config.num_clients
-        )
 
 
 class BatchedInfiniteClientEnv(_BatchedQueueSystemBase):

@@ -7,13 +7,14 @@ sampled queues (the *anonymous state* ``z̄_i``), draws a slot
 for the epoch. The per-queue frozen arrival rates then follow Eq. (5):
 ``λ_j = M λ_t · count_j / N``.
 
-Everything is vectorized over clients; for the paper's largest setting
-(``N = 10^6``, ``d = 2``) a full epoch of client decisions is three
-array operations. The ``*_batched`` variants additionally vectorize over
-``E`` independent system replicas (queue states shaped ``(E, M)``, one
-decision rule per replica) so that a whole Monte-Carlo sweep shares the
-same handful of array operations; the scalar functions are the ``E = 1``
-views and consume the generator stream identically.
+The environments sample through their own sample stage and choose
+through the epoch kernel (:mod:`repro.queueing.backends`); this module
+holds the NumPy choose primitives that kernel runs on already-sampled
+``(E, N, d)`` queue indices (:func:`committed_counts_from_samples`,
+:func:`packet_fractions_from_samples`), the per-client picks
+:func:`sample_client_choices` that the event-driven reference simulator
+consumes, and the analytic ``N → ∞`` references
+(:func:`expected_choice_counts`, :func:`infinite_client_rates`).
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from repro.utils.rng import as_generator
 
 __all__ = [
     "sample_client_choices",
-    "client_choice_counts",
-    "per_packet_rate_fractions",
     "expected_choice_counts",
     "infinite_client_rates",
     "stack_rules",
-    "sample_client_choices_batched",
-    "client_choice_counts_batched",
-    "per_packet_rate_fractions_batched",
+    "replica_state_counts",
     "infinite_client_rates_batched",
     "committed_counts_from_samples",
     "packet_fractions_from_samples",
@@ -64,6 +61,20 @@ def stack_rules(
     if any(r.probs.shape != shape for r in rules):
         raise ValueError("all per-replica rules must share (S, d) geometry")
     return np.stack([r.probs for r in rules])
+
+
+def replica_state_counts(states: np.ndarray, num_states: int) -> np.ndarray:
+    """Per-replica state histogram as integer counts, shape ``(E, S)``.
+
+    ``states`` is an ``(E, M)`` integer array with entries in
+    ``[0, num_states)``; one flat :func:`numpy.bincount` over
+    replica-offset states counts all replicas at once.
+    """
+    e = states.shape[0]
+    offsets = np.arange(e, dtype=np.int64)[:, None] * num_states
+    return np.bincount(
+        (states + offsets).ravel(), minlength=e * num_states
+    ).reshape(e, num_states)
 
 
 def _batched_rule_rows(probs: np.ndarray, zbar: np.ndarray) -> np.ndarray:
@@ -192,6 +203,11 @@ def sample_client_choices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample every client's queue selection and committed choice.
 
+    The per-client picks behind the counts of Eq. (5), for one system
+    with queue states ``(M,)``; the event-driven reference simulator
+    (:mod:`repro.queueing.events`) routes its jobs with them. Draws the
+    ``(N, d)`` queue samples, then one uniform per client for the slot.
+
     Returns
     -------
     sampled:
@@ -204,127 +220,17 @@ def sample_client_choices(
     committed:
         ``(N,)`` committed queue index per client (``x[u]``).
     """
-    queue_states = np.asarray(queue_states)
-    sampled, slots, committed = sample_client_choices_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )
-    return sampled[0], slots[0], committed[0]
-
-
-def sample_client_choices_batched(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rules: "DecisionRule | Sequence[DecisionRule]",
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample every client's selection and choice in ``E`` replicas at once.
-
-    ``queue_states`` has shape ``(E, M)``; ``rules`` is one rule shared by
-    all replicas or a sequence of ``E`` per-replica rules. Returns
-    ``(sampled, slots, committed)`` shaped ``(E, N, d)`` / ``(E, N)`` /
-    ``(E, N)`` — the per-replica analogues of
-    :func:`sample_client_choices`.
-    """
     rng = as_generator(rng)
     queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
+    if queue_states.ndim != 1:
+        raise ValueError("queue_states must have shape (queues,)")
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    sampled = rng.integers(0, m, size=(e, num_clients, d))
-    offsets = (np.arange(e, dtype=sampled.dtype) * m)[:, None, None]
-    zbar = queue_states.take((sampled + offsets).ravel()).reshape(sampled.shape)
-    rows = _batched_rule_rows(probs, zbar)
-    slots = _batched_sample_slots(rows, rng)
-    committed = np.take_along_axis(sampled, slots[..., None], axis=-1)[..., 0]
+    sampled = rng.integers(0, queue_states.size, size=(num_clients, rule.d))
+    rows = _batched_rule_rows(stack_rules(rule, 1), queue_states[sampled][None])
+    slots = _batched_sample_slots(rows, rng)[0]
+    committed = np.take_along_axis(sampled, slots[:, None], axis=-1)[:, 0]
     return sampled, slots, committed
-
-
-def client_choice_counts(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-    rng=None,
-) -> np.ndarray:
-    """Number of clients committed to each queue this epoch (``(M,)``)."""
-    queue_states = np.asarray(queue_states)
-    return client_choice_counts_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )[0]
-
-
-def client_choice_counts_batched(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rules: "DecisionRule | Sequence[DecisionRule]",
-    rng=None,
-) -> np.ndarray:
-    """Per-replica committed-client counts, shape ``(E, M)``."""
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    sampled = rng.integers(0, m, size=(e, num_clients, d))
-    return committed_counts_from_samples(queue_states, sampled, probs, rng)
-
-
-def per_packet_rate_fractions(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-    rng=None,
-) -> np.ndarray:
-    """Per-queue arrival-rate fractions under per-packet randomization.
-
-    The paper's experiments "allow randomization for each packet"
-    (remark below Eq. 4): every packet that reaches client ``i``
-    re-samples its slot ``u ~ h(·|z̄_i)`` instead of using one committed
-    choice for the whole epoch. By Poisson thinning, queue ``j`` then
-    receives rate ``(M λ_t / N) Σ_i Σ_k 1{x_{i,k}=j} h(k|z̄_i)`` — this
-    function returns the fractions ``(1/N) Σ_i Σ_k 1{x_{i,k}=j} h(k|z̄_i)``
-    (which sum to 1 over queues). Compared to the committed-choice
-    counts this removes the per-client multinomial noise, which matters
-    when ``N`` is *not* much larger than ``M`` (paper Figure 6).
-    """
-    queue_states = np.asarray(queue_states)
-    return per_packet_rate_fractions_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )[0]
-
-
-def per_packet_rate_fractions_batched(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rules: "DecisionRule | Sequence[DecisionRule]",
-    rng=None,
-) -> np.ndarray:
-    """Per-replica arrival-rate fractions under per-packet randomization.
-
-    The ``(E, M)`` analogue of :func:`per_packet_rate_fractions`: each
-    replica samples its own ``(N, d)`` queue selections and accumulates
-    its clients' routing probabilities; each row sums to 1.
-    """
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    sampled = rng.integers(0, m, size=(e, num_clients, d))
-    return packet_fractions_from_samples(
-        queue_states, sampled, probs, num_clients
-    )
 
 
 def expected_choice_counts(
@@ -389,11 +295,7 @@ def infinite_client_rates_batched(
     rule_list = [rules] * e if isinstance(rules, DecisionRule) else list(rules)
     if len(rule_list) != e:
         raise ValueError(f"need {e} rules (one per replica), got {len(rule_list)}")
-    num_states = rule_list[0].num_states
-    offsets = np.arange(e, dtype=queue_states.dtype)[:, None] * num_states
-    hists = np.bincount(
-        (queue_states + offsets).ravel(), minlength=e * num_states
-    ).reshape(e, num_states) / m
+    hists = replica_state_counts(queue_states, rule_list[0].num_states) / m
     rates = np.empty((e, m))
     for i, (rule, lam) in enumerate(zip(rule_list, lams)):
         per_state = per_state_arrival_rates(hists[i], rule, float(lam))

@@ -17,10 +17,12 @@ receives the frozen rate
     λ_j = M λ_t · Σ_k w_k · f_k[j]
 
 where ``f_k`` are the per-queue routing fractions computed against the
-age-``k`` snapshot (one call into the standard client kernel per age
-with positive mass). When the delay model is a point mass at age 0 the
-single kernel call consumes the generator stream exactly like the
-undelayed environment — the two are **bit-identical** under a shared
+age-``k`` snapshot (one sample and per-packet choose pass per age with
+positive mass). The mixture is the shared
+``_BatchedQueueSystemBase._delay_mixture_rates``; this environment
+supplies only the snapshots (:meth:`BatchedDelayedFiniteEnv.snapshot`).
+When the delay model is a point mass at age 0 the single pass consumes
+the generator stream exactly like the undelayed environment — the two are **bit-identical** under a shared
 seed (tested in ``tests/test_delays.py``).
 
 The upper-level policy is still queried on the *current* broadcast
@@ -43,7 +45,6 @@ from collections import deque
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.batched_env import _BatchedQueueSystemBase, RulesLike
 from repro.queueing.clients import stack_rules
 from repro.queueing.delays import DelayModel, DeterministicDelay
@@ -86,6 +87,10 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
         backend: str | None = None,
         chaos=None,
     ) -> None:
+        if delay_model is not None and not isinstance(delay_model, DelayModel):
+            raise ValueError(
+                f"delay_model must be a DelayModel, got {delay_model!r}"
+            )
         if not per_packet_randomization:
             raise ValueError(
                 "BatchedDelayedFiniteEnv models per-packet snapshot-age "
@@ -163,38 +168,13 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
         )
         return hist
 
-    def _sampled_fractions(self, observed: np.ndarray, probs) -> np.ndarray:
-        """One sample-stage draw plus the kernel's per-packet choose pass."""
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        return self.kernel.packet_fractions(
-            observed, sampled, probs, self.config.num_clients
-        )
-
     def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        if self.delay_model.is_point_mass_at_zero:
-            # Paper fast path: one kernel call on the current snapshot,
-            # no extra draws — bit-identical to the undelayed env.
-            fractions = self._sampled_fractions(self._states, probs)
-            return self.config.num_queues * lam * fractions
-        weights = self.delay_model.sample_fractions_batch(
-            self._regimes, self.config.num_clients, self._rng
+        return self._delay_mixture_rates(
+            stack_rules(rules, self.num_replicas),
+            self.delay_model,
+            self._regimes,
+            self.snapshot,
         )
-        mixed = np.zeros((self.num_replicas, self.config.num_queues))
-        for age in range(self.delay_model.max_delay + 1):
-            w = weights[:, age]
-            if not np.any(w > 0.0):
-                continue
-            fractions = self._sampled_fractions(self.snapshot(age), probs)
-            mixed += w[:, None] * fractions
-        return self.config.num_queues * lam * mixed
 
     def step_with_policy(self, policy):
         """Algorithm 1 with the live-age channel for delay-aware policies.

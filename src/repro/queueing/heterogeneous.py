@@ -30,10 +30,10 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
 from repro.queueing.arrivals import MarkovModulatedRate
-from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.batched_env import _BatchedQueueSystemBase
 from repro.queueing.clients import (
     infinite_client_rates_batched,
+    replica_state_counts,
     stack_rules,
 )
 
@@ -217,13 +217,9 @@ class BatchedHeterogeneousFiniteEnv(_BatchedQueueSystemBase):
 
     def empirical_distributions(self) -> np.ndarray:
         """Per-replica distribution over ``Z × C``, shape ``(E, S·C)``."""
-        s_obs = self.num_observed_states
-        observed = self.observed_states()
-        offsets = np.arange(self.num_replicas, dtype=np.int64)[:, None] * s_obs
-        counts = np.bincount(
-            (observed + offsets).ravel(),
-            minlength=self.num_replicas * s_obs,
-        ).reshape(self.num_replicas, s_obs)
+        counts = replica_state_counts(
+            self.observed_states(), self.num_observed_states
+        )
         return counts.astype(np.float64) / self.config.num_queues
 
     def _check_rules(self, rules) -> None:
@@ -241,26 +237,6 @@ class BatchedHeterogeneousFiniteEnv(_BatchedQueueSystemBase):
             return infinite_client_rates_batched(
                 observed, rules, self.current_rates
             )
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        if self.per_packet_randomization:
-            fractions = self.kernel.packet_fractions(
-                observed, sampled, probs, self.config.num_clients
-            )
-            return self.config.num_queues * lam * fractions
-        counts = self.kernel.committed_counts(
-            observed, sampled, probs, self._rng
-        )
-        return (
-            self.config.num_queues
-            * lam
-            * counts.astype(np.float64)
-            / self.config.num_clients
+        return self._dispatch_rates(
+            observed, stack_rules(rules, self.num_replicas)
         )

@@ -54,9 +54,8 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.meanfield.hybrid import HybridFieldClosure
-from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.batched_env import RulesLike, _BatchedQueueSystemBase
-from repro.queueing.clients import stack_rules
+from repro.queueing.clients import replica_state_counts, stack_rules
 from repro.queueing.delays import DelayModel
 from repro.utils.rng import as_generator
 
@@ -164,11 +163,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
 
     def _tracked_histograms(self, states: np.ndarray) -> np.ndarray:
         """Histogram of a tracked snapshot as per-replica laws, ``(E, S)``."""
-        s = self.config.num_queue_states
-        offsets = np.arange(self.num_replicas, dtype=np.int64)[:, None] * s
-        counts = np.bincount(
-            (states + offsets).ravel(), minlength=self.num_replicas * s
-        ).reshape(self.num_replicas, s)
+        counts = replica_state_counts(states, self.config.num_queue_states)
         return counts.astype(np.float64) / self.num_tracked
 
     def empirical_distributions(self) -> np.ndarray:
@@ -233,53 +228,21 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         """
         if self.num_tracked == 0:
             return np.zeros((self.num_replicas, 0))
-        lam = self.current_rates[:, None]
         probs = stack_rules(rules, self.num_replicas)
-        m = self.config.num_queues
-        if self.delay_model is None or self.delay_model.is_point_mass_at_zero:
-            observed = self._observed_states(self._states, 0)
-            sampled = draw_uniform_queue_samples(
-                self._rng,
-                self.num_replicas,
-                self.config.num_clients,
-                probs.ndim - 2,
-                m,
+        if self.delay_model is None:
+            rates = self._dispatch_rates(
+                self._observed_states(self._states, 0), probs
             )
-            if self.per_packet_randomization:
-                fractions = self.kernel.packet_fractions(
-                    observed, sampled, probs, self.config.num_clients
-                )
-                return m * lam * fractions[:, : self.num_tracked]
-            counts = self.kernel.committed_counts(
-                observed, sampled, probs, self._rng
+        else:
+            rates = self._delay_mixture_rates(
+                probs,
+                self.delay_model,
+                self._regimes,
+                self.snapshot,
+                self._observed_states,
             )
-            return (
-                m
-                * lam
-                * counts[:, : self.num_tracked].astype(np.float64)
-                / self.config.num_clients
-            )
-        weights = self.delay_model.sample_fractions_batch(
-            self._regimes, self.config.num_clients, self._rng
-        )
-        mixed = np.zeros((self.num_replicas, m))
-        for age in range(self._max_delay + 1):
-            w = weights[:, age]
-            if not np.any(w > 0.0):
-                continue
-            observed = self._observed_states(self.snapshot(age), age)
-            sampled = draw_uniform_queue_samples(
-                self._rng,
-                self.num_replicas,
-                self.config.num_clients,
-                probs.ndim - 2,
-                m,
-            )
-            fractions = self.kernel.packet_fractions(
-                observed, sampled, probs, self.config.num_clients
-            )
-            mixed += w[:, None] * fractions
-        return m * lam * mixed[:, : self.num_tracked]
+        # A copy, so the epoch's info does not pin the full-fleet array.
+        return np.ascontiguousarray(rates[:, : self.num_tracked])
 
     def _closure_pmfs(self) -> np.ndarray | None:
         if self.delay_model is None or self._max_delay == 0:

@@ -12,17 +12,8 @@ from repro.queueing.batched_env import (
     BatchedInfiniteClientEnv,
     run_episodes_batched,
 )
-from repro.queueing.clients import (
-    client_choice_counts,
-    client_choice_counts_batched,
-    per_packet_rate_fractions,
-    per_packet_rate_fractions_batched,
-    stack_rules,
-)
-from repro.queueing.queue_ctmc import (
-    simulate_queues_epoch,
-    simulate_queues_epoch_batched,
-)
+from repro.queueing.clients import stack_rules
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 
 
 class TestGeometry:
@@ -91,34 +82,7 @@ class TestGeometry:
 
 
 class TestScalarEquivalence:
-    """E = 1 batched simulation is bit-identical to the scalar kernels,
-    and the runner's one-replica chunks are reproducible by hand."""
-
-    def test_kernel_bit_identical(self, rng):
-        states = rng.integers(0, 6, size=20)
-        rates = rng.uniform(0.1, 2.0, size=20)
-        s1, d1 = simulate_queues_epoch(
-            states, rates, 1.0, 2.0, 5, np.random.default_rng(7)
-        )
-        s2, d2 = simulate_queues_epoch_batched(
-            states[None, :], rates[None, :], 1.0, 2.0, 5, np.random.default_rng(7)
-        )
-        assert np.array_equal(s1, s2[0])
-        assert np.array_equal(d1, d2[0])
-
-    def test_client_kernels_bit_identical(self, rng):
-        states = rng.integers(0, 6, size=20)
-        rule = DecisionRule.join_shortest(6, 2)
-        counts = client_choice_counts(states, 100, rule, np.random.default_rng(3))
-        counts_b = client_choice_counts_batched(
-            states[None, :], 100, rule, np.random.default_rng(3)
-        )
-        assert np.array_equal(counts, counts_b[0])
-        frac = per_packet_rate_fractions(states, 100, rule, np.random.default_rng(3))
-        frac_b = per_packet_rate_fractions_batched(
-            states[None, :], 100, rule, np.random.default_rng(3)
-        )
-        assert np.array_equal(frac, frac_b[0])
+    """The runner's one-replica chunks are reproducible by hand."""
 
     @pytest.mark.parametrize("per_packet", [False, True])
     def test_finite_episode_bit_identical(self, small_config, per_packet):

@@ -5,12 +5,25 @@ import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import per_state_arrival_rates
+from repro.queueing.backends import draw_uniform_queue_samples, get_backend
 from repro.queueing.clients import (
-    client_choice_counts,
     expected_choice_counts,
     infinite_client_rates,
     sample_client_choices,
+    stack_rules,
 )
+
+
+def kernel_committed_counts(queue_states, num_clients, rule, rng):
+    """Eq. (5) committed counts of one system, ``(M,)``, through the
+    NumPy epoch kernel's sample and choose stages."""
+    sampled = draw_uniform_queue_samples(
+        rng, 1, num_clients, rule.d, queue_states.size
+    )
+    counts = get_backend("numpy").committed_counts(
+        queue_states[None, :], sampled, stack_rules(rule, 1), rng
+    )
+    return counts[0]
 
 
 @pytest.fixture
@@ -42,7 +55,7 @@ class TestSampling:
 
     def test_counts_sum_to_num_clients(self, queue_states, rng):
         rule = DecisionRule.uniform(6, 2)
-        counts = client_choice_counts(queue_states, 777, rule, rng)
+        counts = kernel_committed_counts(queue_states, 777, rule, rng)
         assert counts.shape == (30,)
         assert counts.sum() == 777
 
@@ -54,7 +67,7 @@ class TestSampling:
         """Under RND the committed queue is uniform over all M queues."""
         states = rng.integers(0, 6, size=10)
         rule = DecisionRule.uniform(6, 2)
-        counts = client_choice_counts(states, 100_000, rule, rng)
+        counts = kernel_committed_counts(states, 100_000, rule, rng)
         assert np.allclose(counts / 100_000, 0.1, atol=0.01)
 
 
@@ -71,7 +84,7 @@ class TestExpectedCounts:
         acc = np.zeros(queue_states.size)
         reps = 300
         for _ in range(reps):
-            acc += client_choice_counts(queue_states, n, rule, rng)
+            acc += kernel_committed_counts(queue_states, n, rule, rng)
         emp = acc / reps
         # standard error of a binomial count with p ~ expected/n
         sem = np.sqrt(np.maximum(expected, 1.0) / reps)
@@ -108,7 +121,7 @@ class TestInfiniteClientRates:
         m = queue_states.size
         target = infinite_client_rates(queue_states, rule, lam)
         n = 2_000_000
-        counts = client_choice_counts(queue_states, n, rule, rng)
+        counts = kernel_committed_counts(queue_states, n, rule, rng)
         finite = m * lam * counts / n
         assert np.abs(finite - target).max() < 0.05
 

@@ -8,6 +8,7 @@ from repro.execution import ExecutionContext
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.queueing.batched_env import BatchedFiniteSystemEnv
 from repro.queueing.delayed_env import BatchedDelayedFiniteEnv
+from repro.queueing.hybrid_env import BatchedHybridFleetEnv
 from repro.queueing.delays import (
     DeterministicDelay,
     IIDDelay,
@@ -108,6 +109,54 @@ class TestDelayedEnv:
             assert np.array_equal(
                 info_a["arrival_rates"], info_b["arrival_rates"]
             )
+
+    @pytest.mark.parametrize("preserve_jobs", [False, True])
+    def test_point_mass_routes_against_post_event_states(
+        self, config, policy, preserve_jobs
+    ):
+        """Age 0 routes against the live states, after this epoch's
+        chaos events moved or dropped jobs, exactly as the dense env."""
+        from repro.queueing.chaos import DegradationSchedule, ServerOutage
+
+        chaos = DegradationSchedule(
+            (
+                ServerOutage(
+                    epoch=4, queues=(0, 1, 2), preserve_jobs=preserve_jobs
+                ),
+            )
+        )
+        dense = BatchedFiniteSystemEnv(
+            config, 3, per_packet_randomization=True, chaos=chaos
+        )
+        delayed = BatchedDelayedFiniteEnv(
+            config, 3, delay_model=DeterministicDelay(0), chaos=chaos
+        )
+        dense.reset(5)
+        delayed.reset(5)
+        for _ in range(10):
+            _, _, info_a = dense.step_with_policy(policy)
+            _, _, info_b = delayed.step_with_policy(policy)
+            assert np.array_equal(
+                info_a["arrival_rates"], info_b["arrival_rates"]
+            )
+        assert np.array_equal(dense.queue_states, delayed.queue_states)
+
+    @pytest.mark.parametrize(
+        "make_env",
+        [
+            lambda cfg, model: BatchedDelayedFiniteEnv(
+                cfg, 2, delay_model=model
+            ),
+            lambda cfg, model: BatchedHybridFleetEnv(
+                cfg, 2, 6, delay_model=model, per_packet_randomization=True
+            ),
+        ],
+        ids=["delayed", "hybrid"],
+    )
+    @pytest.mark.parametrize("bad", [3, "iid", {0: 1.0}])
+    def test_rejects_non_delay_model(self, config, make_env, bad):
+        with pytest.raises(ValueError, match="must be a DelayModel"):
+            make_env(config, bad)
 
     def test_snapshot_ring_buffer(self, config, policy):
         env = BatchedDelayedFiniteEnv(

@@ -6,7 +6,7 @@ import pytest
 from repro.meanfield.decision_rule import DecisionRule
 from repro.queueing.clients import sample_client_choices
 from repro.queueing.events import simulate_epoch_event_driven
-from repro.queueing.queue_ctmc import simulate_queues_epoch
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 
 
 class TestValidation:
@@ -57,11 +57,11 @@ class TestAgreementWithLockstep:
             )
             # frozen-rate lock-step with Eq. (5) rates
             rates = m * lam * counts / n
-            new_l, d_l = simulate_queues_epoch(
-                base_states, rates, 1.0, dt, buffer_size, rng
+            new_l, d_l = simulate_queues_epoch_batched(
+                base_states[None, :], rates[None, :], 1.0, dt, buffer_size, rng
             )
             ev_sum += new_e
-            ls_sum += new_l
+            ls_sum += new_l[0]
             ev_drops += d_e.sum()
             ls_drops += d_l.sum()
         # means agree within Monte-Carlo noise

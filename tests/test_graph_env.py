@@ -14,12 +14,8 @@ from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     run_episodes_batched,
 )
-from repro.queueing.graph_env import (
-    BatchedGraphFiniteEnv,
-    neighborhood_choice_counts_batched,
-    neighborhood_rate_fractions_batched,
-    sample_neighborhood_choices_batched,
-)
+from repro.queueing.clients import stack_rules
+from repro.queueing.graph_env import BatchedGraphFiniteEnv
 from repro.queueing.topology import TopologySpec
 
 
@@ -59,29 +55,35 @@ class TestConstruction:
 
 
 class TestSamplingKernels:
+    """The graph sample stage, chosen through the environment's kernel."""
+
     def test_samples_stay_in_neighborhood(self, graph_config, rng):
         top = TopologySpec.ring(12, radius=1)
-        states = rng.integers(0, 6, size=(2, 12))
-        rule = DecisionRule.join_shortest(6, 2)
-        sampled, slots, committed = sample_neighborhood_choices_batched(
-            states, top, 60, rule, np.random.default_rng(0)
-        )
+        cfg = graph_config.with_updates(num_clients=60)
+        env = BatchedGraphFiniteEnv(cfg, top, num_replicas=2, seed=0)
+        sampled = env._sample_queues(2)
         assert sampled.shape == (2, 60, 2)
-        assert slots.shape == (2, 60)
-        disp = top.client_dispatchers(60)
-        allowed = top.neighbors[disp]  # (N, degree)
+        allowed = top.neighbors[top.client_dispatchers(60)]  # (N, degree)
         for e in range(2):
             for i in range(60):
                 assert set(sampled[e, i]) <= set(allowed[i])
-                assert committed[e, i] in sampled[e, i]
+        states = rng.integers(0, 6, size=(2, 12))
+        rule = DecisionRule.join_shortest(6, 2)
+        counts = env.kernel.committed_counts(
+            states, sampled, stack_rules(rule, 2), np.random.default_rng(0)
+        )
+        assert np.array_equal(counts.sum(axis=1), [60, 60])
+        for e in range(2):
+            assert set(np.flatnonzero(counts[e])) <= set(sampled[e].ravel())
 
     def test_degree_one_routes_every_client_home(self, graph_config):
         """Radius-0 ring: every client can only reach its own node's queue."""
         top = TopologySpec.ring(12, radius=0)
+        env = BatchedGraphFiniteEnv(graph_config, top, seed=1)
         states = np.zeros((1, 12), dtype=np.int64)
         rule = DecisionRule.uniform(6, 2)
-        counts = neighborhood_choice_counts_batched(
-            states, top, 120, rule, np.random.default_rng(1)
+        counts = env.kernel.committed_counts(
+            states, env._sample_queues(2), stack_rules(rule, 1), env._rng
         )
         disp = top.client_dispatchers(120)
         expected = np.bincount(top.neighbors[disp, 0], minlength=12)
@@ -89,30 +91,16 @@ class TestSamplingKernels:
 
     def test_rate_fractions_sum_to_one(self, graph_config, rng):
         top = TopologySpec.random_regular(12, 4, seed=0)
+        cfg = graph_config.with_updates(num_clients=200)
+        env = BatchedGraphFiniteEnv(cfg, top, num_replicas=3, seed=2)
         states = rng.integers(0, 6, size=(3, 12))
         rule = DecisionRule.join_shortest(6, 2)
-        fractions = neighborhood_rate_fractions_batched(
-            states, top, 200, rule, np.random.default_rng(2)
+        fractions = env.kernel.packet_fractions(
+            states, env._sample_queues(2), stack_rules(rule, 3), 200
         )
         assert fractions.shape == (3, 12)
         assert np.allclose(fractions.sum(axis=1), 1.0)
         assert fractions.min() >= 0
-
-    def test_kernels_validate_shapes(self, graph_config):
-        top = TopologySpec.ring(12, radius=1)
-        rule = DecisionRule.uniform(6, 2)
-        with pytest.raises(ValueError, match="replicas, queues"):
-            sample_neighborhood_choices_batched(
-                np.zeros(12, dtype=int), top, 10, rule
-            )
-        with pytest.raises(ValueError, match="topology covers"):
-            neighborhood_rate_fractions_batched(
-                np.zeros((1, 8), dtype=int), top, 10, rule
-            )
-        with pytest.raises(ValueError, match="num_clients"):
-            neighborhood_choice_counts_batched(
-                np.zeros((1, 12), dtype=int), top, 0, rule
-            )
 
 
 class TestFullMeshEquivalence:

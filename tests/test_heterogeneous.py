@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.policies.static import ConstantRulePolicy
-from repro.queueing.batched_env import run_episodes_batched
+from repro.policies.static import ConstantRulePolicy, JoinShortestQueuePolicy
+from repro.queueing.batched_env import (
+    BatchedFiniteSystemEnv,
+    run_episodes_batched,
+)
 from repro.queueing.heterogeneous import (
     BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
@@ -174,3 +177,21 @@ class TestHeterogeneousEnv:
             small_config.num_queues * 0.9
         )
         assert info["arrival_rates"].min() >= 0
+
+    @pytest.mark.parametrize("per_packet", [False, True])
+    def test_one_class_bit_identical_to_dense(self, small_config, per_packet):
+        """With one server class the observed state is the filling and
+        every draw matches the dense environment's, in both modes."""
+        cfg = small_config.with_updates(num_queues=30)
+        policy = JoinShortestQueuePolicy(cfg.num_queue_states, cfg.d)
+        one_class = ServerClassSpec((cfg.service_rate,), (1.0,))
+        kwargs = dict(num_replicas=4, per_packet_randomization=per_packet)
+        hetero = run_episodes_batched(
+            BatchedHeterogeneousFiniteEnv(cfg, one_class, **kwargs),
+            policy,
+            seed=3,
+        )
+        dense = run_episodes_batched(
+            BatchedFiniteSystemEnv(cfg, **kwargs), policy, seed=3
+        )
+        assert np.array_equal(hetero.per_epoch_drops, dense.per_epoch_drops)
