@@ -25,7 +25,7 @@ informative, so each gets a natively trained policy:
   keep-best evaluation guard falls back to the warm start on a
   regression,
 * collection runs through the chunk-invariant independent-streams mode
-  of :class:`repro.rl.vector_rollout.VectorRolloutCollector`, which
+  of :class:`repro.rl.rollout.RolloutCollector`, which
   makes a finished regime a pure function of
   ``(regime, ppo, budget, seed)``.
 

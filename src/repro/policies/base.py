@@ -45,7 +45,7 @@ class UpperLevelPolicy(abc.ABC):
         with a batchable forward pass (e.g.
         :class:`repro.policies.learned.NeuralPolicy`) override this to
         answer all replicas at once — the fast path used by the batched
-        environments and the vectorized rollout collector.
+        environments and the lock-step rollout collector.
         """
         nus = np.asarray(nus)
         lam_modes = np.asarray(lam_modes)

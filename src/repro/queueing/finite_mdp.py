@@ -16,7 +16,7 @@ measures.
 :class:`repro.queueing.delayed_env.BatchedDelayedFiniteEnv` through the
 MFC environment protocol (``reset`` / ``step_raw`` / ``observation`` /
 ``clone``), so :class:`repro.rl.ppo.PPOTrainer` and the chunk-invariant
-:class:`repro.rl.vector_rollout.VectorRolloutCollector` train on the
+:class:`repro.rl.rollout.RolloutCollector` train on the
 deployment dynamics themselves:
 
 * the observation is the **empirical** distribution ``H_t`` — the same

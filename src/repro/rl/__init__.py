@@ -20,7 +20,6 @@ from repro.rl.distributions import DiagGaussian, DirichletBlocks
 from repro.rl.optim import Adam, clip_grads_by_global_norm, global_norm
 from repro.rl.gae import compute_gae
 from repro.rl.rollout import RolloutBatch, RolloutCollector
-from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.rl.ppo import PPOTrainer, TrainIterationStats
 from repro.rl.ppo_dirichlet import DirichletPPOTrainer
 from repro.rl.imitation import clone_rule, collect_visited_observations
@@ -44,7 +43,6 @@ __all__ = [
     "compute_gae",
     "RolloutBatch",
     "RolloutCollector",
-    "VectorRolloutCollector",
     "PPOTrainer",
     "TrainIterationStats",
     "DirichletPPOTrainer",

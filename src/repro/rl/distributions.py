@@ -17,7 +17,7 @@ independent Dirichlet(d) blocks, one per sampled-state combination.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, gammaln
 
 from repro.utils.rng import as_generator
 
@@ -213,10 +213,3 @@ class DirichletBlocks:
         alpha = self._blocked(self.concentrations(logits))
         mean = alpha / alpha.sum(axis=-1, keepdims=True)
         return mean.reshape(*logits.shape[:-1], self.flat_dim)
-
-    def fisher_diag(self, logits: np.ndarray) -> np.ndarray:  # pragma: no cover
-        """Diagonal of the per-block Fisher information (diagnostics)."""
-        alpha = self._blocked(self.concentrations(logits))
-        alpha0 = alpha.sum(axis=-1, keepdims=True)
-        diag = polygamma(1, alpha) - polygamma(1, alpha0)
-        return diag.reshape(*logits.shape[:-1], self.flat_dim)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.rl.distributions import DiagGaussian
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -143,6 +144,11 @@ class MLP:
                 delta = delta * self._act_grad(cache[layer])
         return grads
 
+    def apply_update(self, updates: dict[str, np.ndarray]) -> None:
+        """Add ``updates[k]`` to parameter ``k`` in place."""
+        for key, delta in updates.items():
+            self.params[key] += delta
+
     # ------------------------------------------------------------------
     def get_flat(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
@@ -220,6 +226,15 @@ class GaussianPolicyNetwork:
         log_std = np.broadcast_to(self.log_std, mu.shape)
         return mu, log_std, cache
 
+    def act(
+        self, obs: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample actions for an ``(n, obs_dim)`` batch; returns
+        ``(actions, log_probs)`` (the rollout collector's interface)."""
+        mu, log_std, _ = self.forward(obs)
+        actions = DiagGaussian.sample(mu, log_std, rng)
+        return actions, DiagGaussian.log_prob(actions, mu, log_std)
+
     def backward(
         self,
         cache: list[np.ndarray],
@@ -296,8 +311,7 @@ class ValueNetwork:
         return self.trunk.params
 
     def apply_update(self, updates: dict[str, np.ndarray]) -> None:
-        for key, delta in updates.items():
-            self.trunk.params[key] += delta
+        self.trunk.apply_update(updates)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"trunk/{k}": v.copy() for k, v in self.trunk.params.items()}

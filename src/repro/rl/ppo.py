@@ -19,6 +19,12 @@ long training campaigns: bounds on the adaptive β
 linear clip-ε decay schedule (:func:`clip_param_at`) and a
 pessimism-free value clamp (:func:`clamped_value_sq_error`).
 
+The action head is a subclass hook: :class:`PPOTrainer` is the paper's
+Gaussian head, and :class:`repro.rl.ppo_dirichlet.DirichletPPOTrainer`
+overrides only how the policy is built, how the old distribution is
+snapshot, the mean KL and the policy minibatch step — collection, the
+value step, the epoch loop and the adaptive β are shared.
+
 All gradients are assembled analytically (distribution parameter
 gradients chained through the manual MLP backward pass) — there is no
 autodiff anywhere in this repository.
@@ -34,8 +40,7 @@ from repro.config import PPOConfig
 from repro.rl.distributions import DiagGaussian
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
 from repro.rl.optim import Adam, clip_grads_by_global_norm
-from repro.rl.rollout import RolloutCollector
-from repro.rl.vector_rollout import VectorRolloutCollector
+from repro.rl.rollout import RolloutBatch, RolloutCollector
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -160,18 +165,19 @@ class PPOTrainer:
         :class:`repro.config.PPOConfig` (Table 2 defaults).
     num_envs:
         Collect experience from this many environments in lock-step via
-        :class:`repro.rl.vector_rollout.VectorRolloutCollector` (one
-        policy/value forward per time slice instead of per step). The
-        extra environments come from ``env_factory`` if given, else from
+        :class:`repro.rl.rollout.RolloutCollector` (one policy/value
+        forward per time slice instead of per step). The extra
+        environments come from ``env_factory`` if given, else from
         ``env.clone()``. ``train_batch_size`` must be divisible by
         ``num_envs``.
     independent_streams:
-        With ``num_envs > 1``, give every environment its own spawned
-        generator and per-environment network forwards so the collected
-        batch is invariant to how a fleet is chunked across collectors
-        (see :class:`repro.rl.vector_rollout.VectorRolloutCollector`).
-        The training campaign uses this; the default (``False``) keeps
-        the faster shared-stream collection and its historical streams.
+        Give every environment its own spawned generator and
+        per-environment network forwards so the collected batch is
+        invariant to how a fleet is chunked across collectors (see
+        :class:`repro.rl.rollout.RolloutCollector`). The training
+        campaign uses this with ``num_envs > 1``; the default (``False``)
+        keeps the faster shared-stream collection and its historical
+        streams.
     """
 
     def __init__(
@@ -196,43 +202,24 @@ class PPOTrainer:
             as_generator(int(root.integers(2**63))) for _ in range(3)
         )
         obs_dim = int(env.observation_size)
-        act_dim = int(env.action_size)
-        self.policy = GaussianPolicyNetwork(
-            obs_dim,
-            act_dim,
-            hidden_sizes=self.config.hidden_sizes,
-            initial_log_std=self.config.initial_log_std,
-            rng=init_rng,
-        )
+        self.policy = self._build_policy(obs_dim, int(env.action_size), init_rng)
         self.value = ValueNetwork(
             obs_dim, hidden_sizes=self.config.hidden_sizes, rng=init_rng
         )
-        if num_envs == 1:
-            self.collector = RolloutCollector(
-                env,
-                self.policy,
-                self.value,
-                gamma=self.config.gamma,
-                gae_lambda=self.config.gae_lambda,
-                seed=rollout_rng,
-            )
-        else:
-            if env_factory is None:
-                if not hasattr(env, "clone"):
-                    raise ValueError(
-                        "num_envs > 1 needs env.clone() or an env_factory"
-                    )
-                env_factory = env.clone
-            envs = [env] + [env_factory() for _ in range(num_envs - 1)]
-            self.collector = VectorRolloutCollector(
-                envs,
-                self.policy,
-                self.value,
-                gamma=self.config.gamma,
-                gae_lambda=self.config.gae_lambda,
-                seed=rollout_rng,
-                independent_streams=independent_streams,
-            )
+        if num_envs > 1 and env_factory is None:
+            if not hasattr(env, "clone"):
+                raise ValueError("num_envs > 1 needs env.clone() or an env_factory")
+            env_factory = env.clone
+        envs = [env] + [env_factory() for _ in range(num_envs - 1)]
+        self.collector = RolloutCollector(
+            envs,
+            self.policy,
+            self.value,
+            gamma=self.config.gamma,
+            gae_lambda=self.config.gae_lambda,
+            seed=rollout_rng,
+            independent_streams=independent_streams,
+        )
         self.kl_coeff = self.config.kl_coeff
         self._policy_opt = Adam.for_params(
             self.policy.params, self.config.learning_rate
@@ -242,6 +229,37 @@ class PPOTrainer:
         )
         self.iteration = 0
         self._return_history: list[float] = []
+
+    # ------------------------------------------------------------------
+    # Action-head hooks (overridden by the Dirichlet ablation)
+    # ------------------------------------------------------------------
+    def _build_policy(
+        self, obs_dim: int, act_dim: int, rng: np.random.Generator
+    ) -> GaussianPolicyNetwork:
+        """The actor; must provide ``act`` for the rollout collector."""
+        return GaussianPolicyNetwork(
+            obs_dim,
+            act_dim,
+            hidden_sizes=self.config.hidden_sizes,
+            initial_log_std=self.config.initial_log_std,
+            rng=rng,
+        )
+
+    def _old_distribution(
+        self, batch: RolloutBatch
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Snapshot of the pre-update policy on ``batch``: its
+        distribution parameters (row-aligned with the batch) and the
+        log-probabilities of the collected actions under them."""
+        # ``log_std`` is a broadcast view of the live parameter, so it
+        # follows later in-place updates; the golden traces pin this.
+        mu, log_std, _ = self.policy.forward(batch.obs)
+        return (mu, log_std), DiagGaussian.log_prob(batch.actions, mu, log_std)
+
+    def _mean_kl(self, old: tuple[np.ndarray, ...], obs: np.ndarray) -> float:
+        """Mean ``KL(π_old ‖ π_current)`` over ``obs``."""
+        mu, log_std, _ = self.policy.forward(obs)
+        return float(DiagGaussian.kl(*old, mu, log_std).mean())
 
     # ------------------------------------------------------------------
     # Loss gradients
@@ -347,10 +365,7 @@ class PPOTrainer:
         advantages = (advantages - advantages.mean()) / (std + 1e-8)
 
         # Snapshot the old distribution for ratios and KL.
-        mu_old_all, log_std_old_all, _ = self.policy.forward(batch.obs)
-        logp_old_all = DiagGaussian.log_prob(
-            batch.actions, mu_old_all, log_std_old_all
-        )
+        old, logp_old_all = self._old_distribution(batch)
 
         policy_losses: list[float] = []
         value_losses: list[float] = []
@@ -370,8 +385,7 @@ class PPOTrainer:
                             batch.actions[idx],
                             logp_old_all[idx],
                             advantages[idx],
-                            mu_old_all[idx],
-                            log_std_old_all[idx],
+                            *(param[idx] for param in old),
                         )
                     )
                     policy_losses.append(p_loss)
@@ -393,21 +407,13 @@ class PPOTrainer:
                 # KL early stopping: once the full-batch divergence has
                 # left the trust region, further epochs on the same batch
                 # only push it further out (torchrl's ESS-style guard).
-                mu_e, log_std_e, _ = self.policy.forward(batch.obs)
-                epoch_kl = float(
-                    DiagGaussian.kl(
-                        mu_old_all, log_std_old_all, mu_e, log_std_e
-                    ).mean()
-                )
+                epoch_kl = self._mean_kl(old, batch.obs)
                 if epoch_kl > cfg.kl_early_stop_factor * cfg.kl_target:
                     break
 
         # Adaptive KL coefficient (RLlib's update_kl rule) based on the
         # post-update divergence over the full batch.
-        mu_new, log_std_new, _ = self.policy.forward(batch.obs)
-        final_kl = float(
-            DiagGaussian.kl(mu_old_all, log_std_old_all, mu_new, log_std_new).mean()
-        )
+        final_kl = self._mean_kl(old, batch.obs)
         self.kl_coeff = adapted_kl_coeff(self.kl_coeff, final_kl, cfg)
 
         values_pred = self.value(batch.obs)

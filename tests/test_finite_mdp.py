@@ -33,7 +33,7 @@ from repro.meanfield.features import (
 from repro.queueing.delays import MarkovModulatedDelay
 from repro.queueing.finite_mdp import FiniteRegimeEnv
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
-from repro.rl.vector_rollout import VectorRolloutCollector
+from repro.rl.rollout import RolloutCollector
 from repro.store.keys import train_shard_key
 
 _SYSTEM = SystemConfig(
@@ -190,7 +190,7 @@ class TestCollection:
         steps = 24
 
         def chunk(num, offset):
-            collector = VectorRolloutCollector(
+            collector = RolloutCollector(
                 [_env() for _ in range(num)],
                 policy,
                 value,

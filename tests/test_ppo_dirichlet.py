@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import PPOConfig, SystemConfig
 from repro.meanfield.mfc_env import MeanFieldEnv
+from repro.rl.ppo import clip_param_at
 from repro.rl.ppo_dirichlet import DirichletPPOTrainer
 
 
@@ -50,9 +51,14 @@ class TestDirichletPPO:
         with pytest.raises(ValueError):
             DirichletPPOTrainer(SimplexTargetEnv(), block_size=3)
 
+    @pytest.mark.parametrize("block_size", [0, 1, -2])
+    def test_block_size_must_be_at_least_two(self, block_size):
+        with pytest.raises(ValueError, match="block_size"):
+            DirichletPPOTrainer(SimplexTargetEnv(), block_size=block_size)
+
     def test_actions_are_simplex_valued(self, trainer):
-        obs, actions, *_ = trainer._collect(50)
-        blocks = actions.reshape(50, 2, 2)
+        batch = trainer.collector.collect(50)
+        blocks = batch.actions.reshape(50, 2, 2)
         assert np.allclose(blocks.sum(axis=-1), 1.0)
         assert np.all(blocks > 0)
 
@@ -100,3 +106,50 @@ class TestDirichletPPO:
             )
             runs.append(t.train_iteration().mean_episode_return)
         assert runs[0] == runs[1]
+
+
+class TestHardeningKnobs:
+    """The Dirichlet head runs the shared PPO update, so every hardening
+    knob of ``PPOConfig`` applies to it exactly as to the Gaussian head."""
+
+    _CFG = PPOConfig(
+        learning_rate=5e-3,
+        train_batch_size=60,
+        minibatch_size=30,
+        num_epochs=3,
+        hidden_sizes=(8,),
+    )
+
+    def _train(self, iterations, **knobs):
+        trainer = DirichletPPOTrainer(
+            SimplexTargetEnv(), block_size=2,
+            config=self._CFG.with_updates(**knobs), seed=0,
+        )
+        return trainer, trainer.train(iterations)
+
+    def test_kl_early_stop_cuts_epochs_short(self):
+        _, history = self._train(2, kl_early_stop_factor=1e-9)
+        assert all(1 <= s.epochs_run < 3 for s in history)
+
+    def test_guard_off_runs_all_epochs(self):
+        _, history = self._train(2)
+        assert [s.epochs_run for s in history] == [3, 3]
+
+    def test_clip_param_follows_schedule(self):
+        trainer, history = self._train(
+            4, clip_param_final=0.1, clip_decay_iters=3
+        )
+        expected = [clip_param_at(trainer.config, i) for i in range(4)]
+        assert [s.clip_param for s in history] == expected
+        assert expected[0] > expected[-1]
+
+    def test_kl_coeff_stays_within_bounds(self):
+        _, history = self._train(3, kl_coeff_bounds=(0.15, 0.25))
+        assert all(0.15 <= s.kl_coeff <= 0.25 for s in history)
+
+    def test_value_clamp_is_applied(self):
+        clamped, _ = self._train(1, value_clamp_param=1e-9)
+        free, _ = self._train(1)
+        assert not np.array_equal(
+            clamped.value.params["W0"], free.value.params["W0"]
+        )

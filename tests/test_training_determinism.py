@@ -6,15 +6,17 @@ one root generator. This module pins that property two ways:
 
 * **Golden training traces** — a tiny fixed-seed PPO run's per-iteration
   loss/KL/value curves (plus a SHA-256 over the final parameters) are
-  committed under ``tests/golden/`` and compared exactly, for both the
-  scalar and the vectorized collector. Any refactor of the update rule
-  or the sampling path that silently changes the training stream fails
-  loudly. The hardened-PPO knobs added on top of the paper's update all
-  default to *off*; these traces are the proof that off means
-  bit-identical, not merely similar. Regenerate intentional changes
-  with ``GOLDEN_REGEN=1`` (see ``tests/test_golden_traces.py``).
+  committed under ``tests/golden/`` and compared exactly, collected
+  from one and from two environments. The Dirichlet ablation head has
+  its own trace (two configurations, every per-iteration statistic, the
+  final parameters and the mean decision rule). Any refactor of the
+  update rule or the sampling path that silently changes the training
+  stream fails loudly. The hardened-PPO knobs added on top of the
+  paper's update all default to *off*; these traces are the proof that
+  off means bit-identical, not merely similar. Regenerate intentional
+  changes with ``GOLDEN_REGEN=1`` (see ``tests/test_golden_traces.py``).
 * **Chunk invariance** — with ``independent_streams=True`` every
-  environment of a :class:`~repro.rl.vector_rollout.VectorRolloutCollector`
+  environment of a :class:`~repro.rl.rollout.RolloutCollector`
   owns its spawned generator and its own (batch-1) network forwards, so
   a fleet's batch is the column-interleave of its chunks' batches and
   one PPO update is invariant to how the fleet was chunked across
@@ -38,8 +40,8 @@ from repro.config import PPOConfig, SystemConfig
 from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
 from repro.rl.ppo import PPOTrainer
-from repro.rl.rollout import RolloutBatch
-from repro.rl.vector_rollout import VectorRolloutCollector
+from repro.rl.ppo_dirichlet import DirichletPPOTrainer
+from repro.rl.rollout import RolloutBatch, RolloutCollector
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 REGEN = os.environ.get("GOLDEN_REGEN") == "1"
@@ -107,9 +109,63 @@ def _build_ppo_trace_vector() -> dict:
     return _run_trace(num_envs=2)
 
 
+def _build_dirichlet_trace() -> dict:
+    """Both configurations of ``tests/test_ppo_dirichlet.py``, three
+    iterations each: every ``TrainIterationStats`` field except the
+    hardening diagnostics, a digest of the final parameters and, on the
+    mean-field env, the deterministic mean decision rule."""
+    from test_ppo_dirichlet import SimplexTargetEnv
+
+    def run(env, block_size: int, config: PPOConfig) -> tuple[dict, object]:
+        trainer = DirichletPPOTrainer(env, block_size, config=config, seed=0)
+        history = trainer.train(_ITERATIONS)
+        skip = {"epochs_run", "clip_param"}
+        stats = [
+            {k: v for k, v in vars(s).items() if k not in skip} for s in history
+        ]
+        h = hashlib.sha256()
+        for prefix, params in (("policy/", trainer.policy.params),
+                               ("value/", trainer.value.params)):
+            for key in sorted(params):
+                h.update((prefix + key).encode())
+                h.update(np.ascontiguousarray(params[key]).tobytes())
+        return {"stats": stats, "params_sha256": h.hexdigest()}, trainer
+
+    simplex, _ = run(
+        SimplexTargetEnv(),
+        2,
+        PPOConfig(
+            learning_rate=5e-3,
+            train_batch_size=300,
+            minibatch_size=100,
+            num_epochs=5,
+            hidden_sizes=(16, 16),
+            value_clip_param=100.0,
+        ),
+    )
+    system = SystemConfig(delta_t=5.0)
+    mfc, trainer = run(
+        MeanFieldEnv(system, horizon=20, propagator="tabulated", seed=0),
+        system.d,
+        PPOConfig(
+            learning_rate=1e-3,
+            train_batch_size=80,
+            minibatch_size=40,
+            num_epochs=2,
+            hidden_sizes=(16,),
+            value_clip_param=1000.0,
+        ),
+    )
+    policy = trainer.mean_rule_policy(system.num_queue_states, system.d)
+    nu = np.full(system.num_queue_states, 1.0 / system.num_queue_states)
+    mfc["mean_rule"] = policy.decision_rule(nu, 0).probs.ravel().tolist()
+    return {"simplex_target": simplex, "mean_field": mfc}
+
+
 _BUILDERS = {
     "ppo_training_trace.json": _build_ppo_trace_scalar,
     "ppo_training_trace_vector.json": _build_ppo_trace_vector,
+    "ppo_dirichlet_trace.json": _build_dirichlet_trace,
 }
 
 
@@ -152,7 +208,7 @@ def test_hardened_knobs_off_is_bit_identical():
 
 def test_golden_training_traces_are_nontrivial():
     """Guard the references: curves must show actual training activity."""
-    for filename in _BUILDERS:
+    for filename in ("ppo_training_trace.json", "ppo_training_trace_vector.json"):
         trace = json.loads((GOLDEN_DIR / filename).read_text())
         curves = trace["curves"]
         assert len(curves["kl"]) == _ITERATIONS
@@ -207,7 +263,7 @@ def _interleave_columns(batches: list[RolloutBatch], steps: int) -> RolloutBatch
 
 
 def _collect_chunk(env, policy, value, num, offset, seed) -> RolloutBatch:
-    collector = VectorRolloutCollector(
+    collector = RolloutCollector(
         [env.clone(seed=0) for _ in range(num)],
         policy,
         value,

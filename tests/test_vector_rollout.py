@@ -1,11 +1,10 @@
-"""Vectorized rollout-collector tests (lock-step envs, GAE, PPO wiring)."""
+"""Lock-step rollout-collector tests (E envs, GAE, PPO wiring)."""
 
 import numpy as np
 import pytest
 
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
 from repro.rl.rollout import RolloutCollector
-from repro.rl.vector_rollout import VectorRolloutCollector
 
 
 class CountingEnv:
@@ -42,7 +41,7 @@ def nets(rng):
 class TestCollect:
     def test_batch_shapes(self, nets):
         policy, value = nets
-        collector = VectorRolloutCollector(
+        collector = RolloutCollector(
             [CountingEnv() for _ in range(3)], policy, value, 0.9, 1.0, seed=0
         )
         batch = collector.collect(12)  # 4 steps x 3 envs
@@ -56,7 +55,7 @@ class TestCollect:
 
     def test_batch_size_must_divide(self, nets):
         policy, value = nets
-        collector = VectorRolloutCollector(
+        collector = RolloutCollector(
             [CountingEnv(), CountingEnv()], policy, value, 0.9, 1.0, seed=0
         )
         with pytest.raises(ValueError):
@@ -67,49 +66,25 @@ class TestCollect:
     def test_needs_at_least_one_env(self, nets):
         policy, value = nets
         with pytest.raises(ValueError):
-            VectorRolloutCollector([], policy, value, 0.9, 1.0)
+            RolloutCollector([], policy, value, 0.9, 1.0)
 
     def test_episode_returns_recorded_per_env(self, nets):
         policy, value = nets
         envs = [CountingEnv() for _ in range(2)]
-        collector = VectorRolloutCollector(envs, policy, value, 0.9, 1.0, seed=0)
+        collector = RolloutCollector(envs, policy, value, 0.9, 1.0, seed=0)
         batch = collector.collect(24)  # 12 steps/env: two episodes each + 2
         assert batch.episode_returns == [-5.0] * 4
         assert all(env.resets == 3 for env in envs)  # initial + 2 rollovers
 
     def test_dones_time_major_layout(self, nets):
         policy, value = nets
-        collector = VectorRolloutCollector(
+        collector = RolloutCollector(
             [CountingEnv(), CountingEnv()], policy, value, 0.9, 1.0, seed=0
         )
         batch = collector.collect(20)  # 10 steps per env
         dones = batch.dones.reshape(10, 2)
         # Both envs end their 5-step episodes at slices 4 and 9.
         assert np.array_equal(dones.all(axis=1), np.arange(10) % 5 == 4)
-
-    def test_single_env_matches_scalar_collector(self, small_config):
-        """E = 1 lock-step collection is bit-identical to RolloutCollector."""
-        from repro.meanfield.mfc_env import MeanFieldEnv
-
-        def collect(cls, wrap):
-            env = MeanFieldEnv(small_config, horizon=7, seed=0)
-            policy = GaussianPolicyNetwork(
-                env.observation_size, env.action_size, (8,), rng=1
-            )
-            value = ValueNetwork(env.observation_size, (8,), rng=2)
-            target = [env] if wrap else env
-            collector = cls(target, policy, value, 0.99, 0.95, seed=5)
-            return collector.collect(21)
-
-        scalar = collect(RolloutCollector, wrap=False)
-        vector = collect(VectorRolloutCollector, wrap=True)
-        assert np.array_equal(scalar.obs, vector.obs)
-        assert np.array_equal(scalar.actions, vector.actions)
-        assert np.array_equal(scalar.rewards, vector.rewards)
-        assert np.array_equal(scalar.dones, vector.dones)
-        assert np.allclose(scalar.advantages, vector.advantages)
-        assert np.allclose(scalar.value_targets, vector.value_targets)
-        assert scalar.episode_returns == vector.episode_returns
 
     def test_fixed_seed_regression_batch_statistics(self, small_config):
         """Same seed -> identical batches; distinct seeds -> distinct."""
@@ -122,7 +97,7 @@ class TestCollect:
                 env.observation_size, env.action_size, (8,), rng=1
             )
             value = ValueNetwork(env.observation_size, (8,), rng=2)
-            collector = VectorRolloutCollector(
+            collector = RolloutCollector(
                 envs, policy, value, 0.99, 0.95, seed=seed
             )
             return collector.collect(24)
@@ -138,6 +113,14 @@ class TestCollect:
         assert np.all(a.rewards <= 0.0)
 
 
+class TestAlias:
+    def test_vector_name_is_the_one_collector(self):
+        from repro.rl.vector_rollout import VectorRolloutCollector
+
+        assert VectorRolloutCollector is RolloutCollector
+        assert "collect" in vars(VectorRolloutCollector)
+
+
 class TestPPOIntegration:
     def test_trainer_with_vector_collector(self, small_config, fast_ppo_config):
         from repro.meanfield.mfc_env import MeanFieldEnv
@@ -145,7 +128,7 @@ class TestPPOIntegration:
 
         env = MeanFieldEnv(small_config, horizon=8, seed=0)
         trainer = PPOTrainer(env, fast_ppo_config, seed=0, num_envs=4)
-        assert isinstance(trainer.collector, VectorRolloutCollector)
+        assert isinstance(trainer.collector, RolloutCollector)
         stats = trainer.train_iteration()
         assert np.isfinite(stats.mean_episode_return)
         assert stats.env_steps == fast_ppo_config.train_batch_size
