@@ -11,7 +11,9 @@ fine-tune on the *finite* deployment system
 regimes on the mean-field proxy. Finished regimes are persisted as
 content-addressed training shards in an experiment store, so an
 interrupted campaign resumes bit-identically and multiple hosts sharing
-``--store`` partition the regime list with ``--claim``.
+``--store`` partition the regime list with ``--claim`` (each host waits
+for the regimes the others claimed), and ``--merge-only`` packages a
+finished campaign from the store (it fails if any regime is missing).
 
 Usage:
     python scripts/train_regime_policies.py [--regimes dt5,dt7] \
@@ -22,16 +24,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import os
-import socket
 import sys
 import time
 from pathlib import Path
 
+from repro.execution import ExecutionContext
 from repro.experiments.campaign import (
     TrainingBudget,
     campaign_ppo_config,
-    collect_cached,
     default_regimes,
     package_policies,
     run_campaign,
@@ -65,7 +65,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--claim",
         action="store_true",
-        help="claim regimes in the store (multi-host partitioning)",
+        help="claim regimes in the store (multi-host partitioning; "
+        "waits for regimes other hosts claimed)",
     )
     parser.add_argument(
         "--owner",
@@ -81,7 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--merge-only",
         action="store_true",
-        help="package finished shards from the store without training",
+        help="package finished shards from the store without training "
+        "(fails if any regime is missing)",
     )
     parser.add_argument(
         "--out",
@@ -136,25 +138,23 @@ def main(argv=None) -> int:
     if (args.claim or args.merge_only) and store is None:
         parser.error("--claim/--merge-only require --store")
 
+    context = ExecutionContext(
+        workers=args.workers,
+        store=store,
+        claim=args.claim,
+        merge_only=args.merge_only,
+    )
     t0 = time.perf_counter()
-    if args.merge_only:
-        results = collect_cached(
-            regimes, store, ppo=ppo, budget=budget, seed=args.seed
-        )
-    else:
-        owner = args.owner or f"{socket.gethostname()}:{os.getpid()}"
-        results = run_campaign(
-            regimes,
-            ppo=ppo,
-            budget=budget,
-            seed=args.seed,
-            store=store,
-            workers=args.workers,
-            claim=args.claim,
-            owner=owner,
-            stale_after=args.stale_after,
-            verbose=True,
-        )
+    results = run_campaign(
+        regimes,
+        ppo=ppo,
+        budget=budget,
+        seed=args.seed,
+        context=context,
+        claim_owner=args.owner,
+        stale_claim_after=args.stale_after,
+        verbose=True,
+    )
     elapsed = time.perf_counter() - t0
 
     for name in sorted(results):
@@ -166,16 +166,13 @@ def main(argv=None) -> int:
             if res.meta.get("trained_return") is not None
             else f"[{name}] {src}"
         )
-    pending = [r.name for r in regimes if r.name not in results]
-    if pending:
-        print(f"pending (claimed elsewhere or unfinished): {pending}")
 
     if results and not args.no_package:
         paths = package_policies(results, args.out)
         for name in sorted(paths):
             print(f"packaged {paths[name]}")
     print(f"campaign finished in {elapsed:.1f}s ({len(results)} regimes)")
-    return 0 if results or args.merge_only else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,14 +29,16 @@ informative, so each gets a natively trained policy:
   makes a finished regime a pure function of
   ``(regime, ppo, budget, seed)``.
 
-That purity is what the campaign's durability leans on: each finished
-regime is persisted as one content-addressed *training shard* in the
-:class:`repro.store.store.ExperimentStore`
-(:func:`repro.store.keys.train_shard_key`), so an interrupted campaign
-resumes bit-identically, results are invariant to the worker count, and
+That purity is what the campaign's durability leans on: each regime is
+one *training shard* run by
+:class:`repro.experiments.parallel.SweepExecutor`, the executor of the
+evaluation sweeps and streams, and persisted as one content-addressed
+entry in the :class:`repro.store.store.ExperimentStore`
+(:func:`repro.store.keys.train_shard_key`). So an interrupted campaign
+resumes bit-identically, results are invariant to the worker count,
 multiple hosts sharing a store directory partition the regime list via
-the store's claim files — the same coordination discipline as the
-evaluation sweeps in :mod:`repro.experiments.parallel`.
+the store's claim files (``claim``), and any host assembles the finished
+campaign from the store (``merge_only``).
 
 Entry point: ``scripts/train_regime_policies.py``; packaged checkpoints
 land in ``repro/assets/policies/mf_regime_<name>.npz`` and feed the
@@ -45,7 +47,6 @@ land in ``repro/assets/policies/mf_regime_<name>.npz`` and feed the
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -53,6 +54,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.config import PPOConfig, SystemConfig, paper_system_config
+from repro.execution import ExecutionContext
+from repro.experiments.parallel import SweepExecutor
 from repro.meanfield.delayed_env import DelayedMeanFieldEnv
 from repro.meanfield.features import ObservationFeatures, age_context
 from repro.policies.learned import NeuralPolicy
@@ -73,7 +76,6 @@ __all__ = [
     "TrainingBudget",
     "available_regime_checkpoints",
     "campaign_ppo_config",
-    "collect_cached",
     "default_regimes",
     "get_regime_policy",
     "package_policies",
@@ -475,7 +477,9 @@ def _result_from_entry(
         hidden_sizes=meta["hidden_sizes"],
         num_modes=int(meta["num_modes"]),
     )
-    curve = np.asarray(arrays.get("curve", np.empty(0)), dtype=np.float64)
+    curve = np.array(arrays.get("curve", np.empty(0)), dtype=np.float64)
+    if "curve_nan" in arrays:
+        curve[arrays["curve_nan"]] = np.nan
     return CampaignResult(
         regime=regime,
         key=key,
@@ -484,6 +488,24 @@ def _result_from_entry(
         meta=dict(meta),
         from_cache=True,
     )
+
+
+def _entry_arrays(result: CampaignResult) -> dict[str, np.ndarray]:
+    """A training shard's store arrays: policy state and learning curve.
+
+    The curve is NaN at every iteration that finished no episode, and
+    the store rejects non-finite floats, so those points are written as
+    ``0.0`` plus a boolean ``curve_nan`` mask that
+    :func:`_result_from_entry` turns back into NaNs.
+    """
+    arrays = {
+        f"policy/{k}": v for k, v in result.policy.network.state_dict().items()
+    }
+    missing = np.isnan(result.curve)
+    arrays["curve"] = np.where(missing, 0.0, result.curve)
+    if missing.any():
+        arrays["curve_nan"] = missing
+    return arrays
 
 
 def _evaluate_finite(
@@ -529,14 +551,13 @@ def train_regime(
     ppo: PPOConfig | None = None,
     budget: TrainingBudget | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
     verbose: bool = False,
 ) -> CampaignResult:
-    """Train (or resume from the store) one regime's policy.
+    """Train one regime's policy: the campaign's per-shard computation.
 
-    With a store, a finished regime is returned from its training shard
-    without consuming any randomness — the resume is bit-identical to
-    the original run's result.
+    The result is a pure function of ``(regime, ppo, budget, seed)``.
+    To resume from (and persist to) an experiment store, run the regime
+    through :func:`run_campaign` with a store-bearing context.
     """
     from repro.rl.evaluation import evaluate_policy_mfc
     from repro.rl.ppo import PPOTrainer
@@ -544,11 +565,6 @@ def train_regime(
     ppo = ppo if ppo is not None else campaign_ppo_config(seed)
     budget = budget if budget is not None else TrainingBudget()
     key = train_shard_key(regime, ppo, budget, seed)
-    if store is not None:
-        cached = store.get_entry(key)
-        if cached is not None:
-            return _result_from_entry(regime, key, *cached)
-
     env = regime.build_env(seed=seed)
     eval_env = regime.build_env(seed=seed + 1)
     trainer = PPOTrainer(
@@ -638,10 +654,6 @@ def train_regime(
         ),
         "label": REGIME_POLICY_LABEL,
     }
-    if store is not None:
-        arrays = {f"policy/{k}": v for k, v in final_state.items()}
-        arrays["curve"] = np.asarray(curve, dtype=np.float64)
-        store.put_entry(key, arrays, meta)
     policy = _build_policy(
         final_state,
         regime,
@@ -658,51 +670,47 @@ def train_regime(
     )
 
 
-def _train_claimed(
-    regime: RegimeSpec,
-    ppo: PPOConfig,
-    budget: TrainingBudget,
-    seed: int,
-    store: "ExperimentStore",
-    owner: str,
-    stale_after: float | None,
-    verbose: bool,
-) -> CampaignResult | None:
-    """Claim-gated training: ``None`` when another worker holds the regime."""
-    key = train_shard_key(regime, ppo, budget, seed)
-    cached = store.get_entry(key)
-    if cached is not None:
-        return _result_from_entry(regime, key, *cached)
-    if not store.try_claim(key, owner, stale_after=stale_after):
-        return None
-    try:
-        return train_regime(
-            regime, ppo, budget, seed=seed, store=store, verbose=verbose
-        )
-    finally:
-        store.release_claim(key)
+class _CampaignJob:
+    """Training shards: one finished regime each, stored as a
+    multi-array entry (policy state dict plus learning curve)."""
 
+    def __init__(
+        self,
+        regimes: Sequence[RegimeSpec],
+        ppo: PPOConfig,
+        budget: TrainingBudget,
+        seed: int,
+        verbose: bool,
+    ) -> None:
+        self.shards = list(regimes)
+        self.ppo, self.budget, self.seed = ppo, budget, seed
+        self.verbose = verbose
+        self.results: dict[str, CampaignResult] = {}
 
-def _train_regime_task(
-    regime: RegimeSpec,
-    ppo: PPOConfig,
-    budget: TrainingBudget,
-    seed: int,
-    store_root: str | None,
-    claim: bool,
-    owner: str | None,
-    stale_after: float | None,
-) -> CampaignResult | None:
-    """Worker-process entry: rebuilds the store from its root path."""
-    from repro.store.store import ExperimentStore
+    def key(self, regime: RegimeSpec) -> str:
+        return train_shard_key(regime, self.ppo, self.budget, self.seed)
 
-    store = ExperimentStore(store_root) if store_root is not None else None
-    if claim:
-        assert store is not None and owner is not None
-        return _train_claimed(
-            regime, ppo, budget, seed, store, owner, stale_after, False
-        )
-    return train_regime(regime, ppo, budget, seed=seed, store=store)
+    def task(self, regime: RegimeSpec) -> tuple:
+        args = (regime, self.ppo, self.budget, self.seed, self.verbose)
+        return train_regime, args
+
+    def fold(self, regime: RegimeSpec, result: CampaignResult) -> None:
+        self.results[regime.name] = result
+
+    def load(
+        self, store: "ExperimentStore", key: str, regime: RegimeSpec
+    ) -> CampaignResult | None:
+        cached = store.get_entry(key)
+        return None if cached is None else _result_from_entry(regime, key, *cached)
+
+    def save(
+        self,
+        store: "ExperimentStore",
+        key: str,
+        regime: RegimeSpec,
+        result: CampaignResult,
+    ) -> None:
+        store.put_entry(key, _entry_arrays(result), result.meta)
 
 
 def run_campaign(
@@ -710,107 +718,47 @@ def run_campaign(
     ppo: PPOConfig | None = None,
     budget: TrainingBudget | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
-    workers: int = 1,
-    claim: bool = False,
-    owner: str | None = None,
-    stale_after: float | None = None,
+    context: ExecutionContext | None = None,
+    claim_owner: str | None = None,
+    stale_claim_after: float | None = None,
     verbose: bool = False,
 ) -> dict[str, CampaignResult]:
-    """Train every regime; returns ``{regime name: result}``.
+    """Train every regime; returns ``{regime name: result}`` in regime
+    order.
 
-    Regimes are independent training shards, so the campaign
-    parallelizes trivially: ``workers > 1`` fans the regime list across
-    a process pool, and because each shard's streams are a pure function
-    of its own inputs the results are **bit-identical for every worker
-    count** (tested). With ``claim=True`` (requires a store) regimes
-    claimed by other hosts are skipped — they simply don't appear in the
-    returned mapping; rerun with :func:`collect_cached` once every host
-    finished to merge the full campaign.
+    Regimes are independent training shards, run by
+    :class:`~repro.experiments.parallel.SweepExecutor` exactly like
+    sweep shards. ``context.workers > 1`` fans them across a process
+    pool, and because each shard is a pure function of its own inputs
+    the results are **bit-identical for every worker count** (tested).
+    With ``context.store`` finished regimes replay from the store and
+    fresh ones are persisted (a failing write warns and counts
+    ``write_errors``); ``context.claim`` partitions the regimes among
+    hosts sharing the store and waits for those claimed elsewhere;
+    ``context.merge_only`` assembles the campaign from the store and
+    raises ``RuntimeError`` naming the number of missing regimes.
+
+    ``claim_owner`` and ``stale_claim_after`` go to the executor; the
+    default ``stale_claim_after=None`` never takes over another host's
+    claim. ``verbose`` prints training progress when regimes train
+    in-process (``workers == 1`` or a single regime).
     """
     regime_list = list(regimes if regimes is not None else default_regimes())
     names = [r.name for r in regime_list]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate regime names: {names}")
-    if claim and store is None:
-        raise ValueError("claim mode requires a store")
-    if claim and owner is None:
-        raise ValueError("claim mode requires an owner id")
-    budget = budget if budget is not None else TrainingBudget()
-    resolved_ppo = ppo if ppo is not None else campaign_ppo_config(seed)
-
-    results: dict[str, CampaignResult] = {}
-    if workers <= 1 or len(regime_list) <= 1:
-        for regime in regime_list:
-            if claim:
-                assert store is not None and owner is not None
-                res = _train_claimed(
-                    regime,
-                    resolved_ppo,
-                    budget,
-                    seed,
-                    store,
-                    owner,
-                    stale_after,
-                    verbose,
-                )
-            else:
-                res = train_regime(
-                    regime,
-                    resolved_ppo,
-                    budget,
-                    seed=seed,
-                    store=store,
-                    verbose=verbose,
-                )
-            if res is not None:
-                results[regime.name] = res
-        return results
-
-    store_root = str(store.root) if store is not None else None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                _train_regime_task,
-                regime,
-                resolved_ppo,
-                budget,
-                seed,
-                store_root,
-                claim,
-                owner,
-                stale_after,
-            ): regime
-            for regime in regime_list
-        }
-        for future in as_completed(futures):
-            res = future.result()
-            if res is not None:
-                results[futures[future].name] = res
-    return results
-
-
-def collect_cached(
-    regimes: Iterable[RegimeSpec],
-    store: "ExperimentStore",
-    ppo: PPOConfig | None = None,
-    budget: TrainingBudget | None = None,
-    seed: int = 0,
-) -> dict[str, CampaignResult]:
-    """Merge finished training shards from the store (no training).
-
-    The merge step of a multi-host claim-mode campaign; regimes without
-    a stored shard are simply absent from the result.
-    """
-    budget = budget if budget is not None else TrainingBudget()
-    results: dict[str, CampaignResult] = {}
-    for regime in regimes:
-        resolved_ppo = ppo if ppo is not None else campaign_ppo_config(seed)
-        key = train_shard_key(regime, resolved_ppo, budget, seed)
-        cached = store.get_entry(key)
-        if cached is not None:
-            results[regime.name] = _result_from_entry(regime, key, *cached)
-    return results
+    ctx = context or ExecutionContext()
+    job = _CampaignJob(
+        regime_list,
+        ppo if ppo is not None else campaign_ppo_config(seed),
+        budget if budget is not None else TrainingBudget(),
+        seed,
+        verbose and (ctx.workers == 1 or len(regime_list) <= 1),
+    )
+    SweepExecutor(
+        ctx, claim_owner=claim_owner, stale_claim_after=stale_claim_after
+    ).run_job(job)
+    return {name: job.results[name] for name in names}
 
 
 def package_policies(

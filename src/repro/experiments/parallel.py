@@ -1,10 +1,14 @@
-"""Sharded multiprocess execution of Monte-Carlo sweeps.
+"""The one shard executor: sweeps, streams and training campaigns.
 
 The paper's headline artifacts (Figures 4-6) are embarrassingly parallel:
-independent Monte-Carlo replicas of independent sweep points. This module
-shards that work across a :class:`concurrent.futures.ProcessPoolExecutor`
-without giving up the repository's bit-for-bit reproducibility
-discipline.
+independent Monte-Carlo replicas of independent sweep points; so are
+streams (:func:`repro.serving.engine.run_stream_request`) and the
+per-regime training campaign
+(:func:`repro.experiments.campaign.run_campaign`). :class:`SweepExecutor`
+runs all three through :meth:`SweepExecutor.run_job` — store lookup, serial or
+:class:`concurrent.futures.ProcessPoolExecutor` execution, multi-host
+claims, persistence — without giving up the repository's bit-for-bit
+reproducibility discipline.
 
 The key invariant is that the random streams are a pure function of each
 request's master seed and the *replica-chunk layout* — never of the
@@ -24,7 +28,7 @@ drops by offset. Consequently::
 ``workers=1`` never touches ``multiprocessing`` at all — the graceful
 in-process fallback used by tests, single-core boxes and nested callers.
 
-Every shard runs through the batched lock-step environments of
+Every finite shard runs through the batched lock-step environments of
 :mod:`repro.queueing.batched_env`; a single replica is simply a chunk of
 ``E = 1`` (``ExecutionContext(max_batch_replicas=1)``).
 
@@ -39,8 +43,9 @@ Because shard results are a pure function of their request and seed
 material, they are also *cacheable*: give the context a ``store`` (a
 :class:`repro.store.store.ExperimentStore`) to reuse previously
 computed shards by content hash and persist fresh ones — the mechanism
-behind resumable sweeps and the ``reproduce`` pipeline (see
-``docs/reproduction.md``).
+behind resumable sweeps, streams and campaigns, multi-host claim
+partitioning, and the ``reproduce`` pipeline (see
+``docs/reproduction.md`` and ``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ if TYPE_CHECKING:
 
     from repro.experiments.runner import MonteCarloResult
     from repro.policies.base import UpperLevelPolicy
+    from repro.store.store import ExperimentStore
 
 __all__ = ["EvalRequest", "SweepExecutor"]
 
@@ -74,6 +80,28 @@ SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
 #: Picklable seed material carried by a shard: ``SeedSequence`` children
 #: in the common case, drawn integers for exotic bit generators.
 SeedMaterial = "np.random.SeedSequence | int"
+
+
+def _check_chunked_request(request: Any) -> None:
+    """Validation shared by every replica-chunked request (an
+    :class:`EvalRequest` or a :class:`repro.serving.engine.StreamRequest`)."""
+    if request.env_cls is not None and not (
+        isinstance(request.env_cls, type)
+        and issubclass(request.env_cls, _BatchedQueueSystemBase)
+    ):
+        raise ValueError(
+            f"env_cls must be a batched environment class (a "
+            f"_BatchedQueueSystemBase subclass), got {request.env_cls!r}"
+        )
+    if request.sim_backend != "auto" and (
+        request.sim_backend not in available_backends()
+    ):
+        raise ValueError(
+            f"unknown sim_backend {request.sim_backend!r}; registered "
+            f"kernels: {available_backends()} (or 'auto')"
+        )
+    if request.max_batch_replicas < 1:
+        raise ValueError("max_batch_replicas must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,23 +135,7 @@ class EvalRequest:
     sim_backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.env_cls is not None and not (
-            isinstance(self.env_cls, type)
-            and issubclass(self.env_cls, _BatchedQueueSystemBase)
-        ):
-            raise ValueError(
-                f"env_cls must be a batched environment class (a "
-                f"_BatchedQueueSystemBase subclass), got {self.env_cls!r}"
-            )
-        if self.sim_backend != "auto" and (
-            self.sim_backend not in available_backends()
-        ):
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; registered "
-                f"kernels: {available_backends()} (or 'auto')"
-            )
-        if self.max_batch_replicas < 1:
-            raise ValueError("max_batch_replicas must be >= 1")
+        _check_chunked_request(self)
         if self.resolved_runs() < 1:
             raise ValueError("num_runs must be >= 1")
 
@@ -166,30 +178,27 @@ def _spawn_seed_children(seed: "SeedLike", count: int) -> "list[SeedMaterial]":
     return list(np.random.SeedSequence(seed).spawn(count))
 
 
-def _chunk_sizes(runs: int, max_chunk: int) -> list[int]:
-    """The serial path's replica chunking (same layout, same order)."""
-    return [min(max_chunk, runs - start) for start in range(0, runs, max_chunk)]
+def _decompose(requests: Sequence[Any]) -> list[_Shard]:
+    """Split every request into its deterministic replica-chunk shards:
+    the serial path's chunking (same layout, same order), one spawned
+    seed child per chunk.
 
-
-def _decompose(requests: Sequence[EvalRequest]) -> list[_Shard]:
-    """Split every request into its deterministic replica-chunk shards."""
+    A request is an :class:`EvalRequest` or a
+    :class:`repro.serving.engine.StreamRequest`.
+    """
     shards: list[_Shard] = []
     for index, request in enumerate(requests):
-        sizes = _chunk_sizes(request.resolved_runs(), request.max_batch_replicas)
-        children = _spawn_seed_children(request.seed, len(sizes))
-        offset = 0
-        for size, child in zip(sizes, children):
+        runs, chunk = request.resolved_runs(), request.max_batch_replicas
+        offsets = range(0, runs, chunk)
+        children = _spawn_seed_children(request.seed, len(offsets))
+        for offset, child in zip(offsets, children):
+            size = min(chunk, runs - offset)
             shards.append(_Shard(index, offset, size, (child,)))
-            offset += size
     return shards
 
 
-def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
-    """Execute one shard; returns its per-replica cumulative drops.
-
-    Must remain a module-level function (pickled by reference when
-    dispatched to worker processes).
-    """
+def _shard_env(request: Any, shard: _Shard) -> "tuple[Any, np.random.Generator]":
+    """One replica chunk's batched environment and its generator."""
     # The kernel choice travels as a kwarg only when it deviates from
     # the default, so custom env classes that predate the ``backend``
     # parameter keep working with the default kernel.
@@ -199,19 +208,83 @@ def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
     rng = np.random.default_rng(shard.seeds[0])
     env_cls = request.env_cls or BatchedFiniteSystemEnv
     env = env_cls(
-        request.config,
-        num_replicas=shard.num_runs,
-        seed=rng,
-        **env_kwargs,
+        request.config, num_replicas=shard.num_runs, seed=rng, **env_kwargs
     )
+    return env, rng
+
+
+def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
+    """Execute one shard; returns its per-replica cumulative drops.
+
+    Must remain a module-level function (pickled by reference when
+    dispatched to worker processes).
+    """
+    env, rng = _shard_env(request, shard)
     result = run_episodes_batched(
         env, request.policy, num_epochs=request.num_epochs, seed=rng
     )
     return result.total_drops_per_queue
 
 
+class _ChunkJob:
+    """A replica-chunk job for :meth:`SweepExecutor.run_job`: ``requests``
+    decompose into the shards of :func:`_decompose`, and a payload is a
+    1-D float vector of ``payload_size(shard)`` entries kept through
+    ``get_shard``/``put_shard``."""
+
+    def __init__(self, requests: Sequence[Any]) -> None:
+        self.requests = list(requests)
+        self.shards = _decompose(self.requests)
+
+    def load(self, store: "ExperimentStore", key: str, shard: Any) -> Any:
+        """The stored payload of ``shard``, or ``None`` on a miss."""
+        return store.get_shard(key, expected_runs=self.payload_size(shard))
+
+    def save(
+        self, store: "ExperimentStore", key: str, shard: Any, payload: Any
+    ) -> None:
+        """Persist one freshly computed payload."""
+        request = self.requests[shard.request_index]
+        store.put_shard(
+            key,
+            payload,
+            meta={"policy": request.policy.name, "offset": shard.offset},
+        )
+
+
+class _SweepJob(_ChunkJob):
+    """Finite Monte-Carlo sweep: per-replica drops merged by offset."""
+
+    def __init__(self, requests: Sequence[EvalRequest]) -> None:
+        super().__init__(requests)
+        self.merged = [np.empty(req.resolved_runs()) for req in self.requests]
+
+    def key(self, shard: _Shard) -> str:
+        from repro.store.keys import shard_key
+
+        return shard_key(self.requests[shard.request_index], shard)
+
+    def task(self, shard: _Shard) -> tuple:
+        # ``_run_shard`` is looked up at dispatch time, so a wrapper
+        # installed on the module attribute sees every call.
+        return _run_shard, (self.requests[shard.request_index], shard)
+
+    def payload_size(self, shard: _Shard) -> int:
+        return shard.num_runs
+
+    def fold(self, shard: _Shard, drops: np.ndarray) -> None:
+        if drops.shape != (shard.num_runs,):
+            raise RuntimeError(
+                f"shard returned {drops.shape}, expected ({shard.num_runs},)"
+            )
+        self.merged[shard.request_index][
+            shard.offset : shard.offset + shard.num_runs
+        ] = drops
+
+
 class SweepExecutor:
-    """Shard ``(sweep-point × replica-chunk)`` work units across processes.
+    """The one shard executor: finite sweeps, streams and training
+    campaigns all run through it.
 
     Parameters
     ----------
@@ -225,29 +298,28 @@ class SweepExecutor:
         * ``store`` — optional
           :class:`repro.store.store.ExperimentStore`. Every shard is
           looked up by its content hash before dispatch (cache hits
-          merge without simulating anything) and every freshly computed
+          merge without computing anything) and every freshly computed
           shard is persisted atomically on completion — so a killed
-          sweep resumes where it stopped, and overlapping sweeps (e.g.
+          run resumes where it stopped, and overlapping runs (e.g.
           two figure grids sharing sub-sweeps) reuse each other's
           shards. Cached and fresh shards merge bit-identically to a
-          cold run because a shard's streams are a pure function of its
+          cold run because a shard's result is a pure function of its
           key inputs.
         * ``claim`` — multi-node mode: before computing a pending shard,
           claim it through the store's atomic claim files
           (:meth:`~repro.store.store.ExperimentStore.try_claim`).
           Independent hosts pointing at one shared store directory then
-          partition a sweep between them without a coordinator: each
+          partition the shards between them without a coordinator: each
           host computes the shards it wins, polls the store for shards
           claimed elsewhere, and merges everything bit-identically to a
-          single-host run (shard streams are pure functions of their
-          key inputs, so *who* computes a shard cannot change it). A
+          single-host run (*who* computes a shard cannot change it). A
           claim untouched for ``stale_claim_after`` seconds (a killed
           worker) is taken over, making every shard at-least-once.
         * ``merge_only`` — merge previously completed shards from the
           store without computing anything; raises ``RuntimeError``
-          naming the missing shard count if the sweep is incomplete.
-          This is how any host — even one that computed nothing —
-          assembles a partitioned sweep's final result.
+          naming the missing shard count if any is absent. This is how
+          any host — even one that computed nothing — assembles a
+          partitioned run's final result.
 
         The context validates these (``workers >= 1``, a store for
         ``claim``/``merge_only``, the two modes exclusive). Its
@@ -262,7 +334,7 @@ class SweepExecutor:
     stale_claim_after:
         Seconds after which another worker's untouched claim is
         considered abandoned and taken over. ``None`` disables takeover
-        (a killed claimant then blocks the sweep until its claim is
+        (a killed claimant then blocks the run until its claim is
         removed by hand).
     claim_poll_interval:
         Seconds between store polls while waiting for shards claimed by
@@ -315,66 +387,67 @@ class SweepExecutor:
         that do not want :class:`MonteCarloResult` objects (benchmarks,
         custom mergers) can consume shard output directly.
         """
-        requests = list(requests)
-        merged = [np.empty(req.resolved_runs()) for req in requests]
-        pending = self._resolve_cached(requests, _decompose(requests), merged)
+        job = _SweepJob(requests)
+        self.run_job(job)
+        return job.merged
+
+    def run_job(self, job: Any) -> None:
+        """Fold every shard of ``job``: store hits first, in shard order,
+        then the rest as they are computed (see the class docstring for
+        ``claim`` and ``merge_only``).
+
+        A job lists its ``shards`` and supplies, per shard, its store key
+        (``key(shard)``), a module-level compute call
+        (``task(shard) -> (function, args)``, pickled to worker
+        processes), how to merge a cached or fresh payload
+        (``fold(shard, payload)``) and how to read and write it
+        (``load(store, key, shard)``, ``None`` on a miss;
+        ``save(store, key, shard, payload)``).
+        """
+        pending = self._resolve_cached(job)
         if self.merge_only:
             if pending:
                 raise RuntimeError(
-                    f"merge-only sweep is missing {len(pending)} shard(s) "
+                    f"merge-only run is missing {len(pending)} shard(s) "
                     "from the store; run the claimants to completion first"
                 )
-            return merged
+            return
         if self.claim:
-            self._run_claimed(requests, merged, pending)
-            return merged
-        self._execute(requests, merged, pending)
-        return merged
+            self._run_claimed(job, pending)
+            return
+        self._execute(job, pending)
 
     def _execute(
-        self,
-        requests: list[EvalRequest],
-        merged: list[np.ndarray],
-        pending: "list[tuple[_Shard, str | None]]",
+        self, job: Any, pending: "list[tuple[Any, str | None]]"
     ) -> None:
-        """Compute ``pending`` shards (serially or pooled) and merge them."""
+        """Compute ``pending`` shards (serially or pooled) and fold them."""
         if self.workers == 1 or len(pending) <= 1:
             for shard, key in pending:
-                drops = _run_shard(requests[shard.request_index], shard)
-                self._merge(merged, shard, drops)
-                self._persist(requests[shard.request_index], shard, key, drops)
+                function, args = job.task(shard)
+                self._finish(job, shard, key, function(*args))
             return
         max_workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
             max_workers=max_workers, mp_context=self._mp_context
         ) as pool:
-            futures = {
-                pool.submit(
-                    _run_shard, requests[shard.request_index], shard
-                ): (shard, key)
-                for shard, key in pending
-            }
+            futures = {}
+            for shard, key in pending:
+                function, args = job.task(shard)
+                futures[pool.submit(function, *args)] = (shard, key)
             try:
                 for future in as_completed(futures):
                     shard, key = futures[future]
-                    drops = future.result()
-                    self._merge(merged, shard, drops)
-                    self._persist(
-                        requests[shard.request_index], shard, key, drops
-                    )
+                    self._finish(job, shard, key, future.result())
             except BaseException:
                 # Fail fast: drop every still-queued shard instead of
-                # letting a long sweep run to completion behind the
-                # first worker failure (in-flight shards still finish).
+                # letting a long run go to completion behind the first
+                # worker failure (in-flight shards still finish).
                 for future in futures:
                     future.cancel()
                 raise
 
     def _run_claimed(
-        self,
-        requests: list[EvalRequest],
-        merged: list[np.ndarray],
-        pending: "list[tuple[_Shard, str | None]]",
+        self, job: Any, pending: "list[tuple[Any, str | None]]"
     ) -> None:
         """Claim-partitioned execution of ``pending`` against the store.
 
@@ -388,7 +461,8 @@ class SweepExecutor:
         """
         import time
 
-        assert self.store is not None
+        store = self.store
+        assert store is not None
         deadline = (
             None
             if self.claim_timeout is None
@@ -396,11 +470,11 @@ class SweepExecutor:
         )
         remaining = list(pending)
         while remaining:
-            mine: list[tuple[_Shard, str | None]] = []
-            waiting: list[tuple[_Shard, str | None]] = []
+            mine: list[tuple[Any, str | None]] = []
+            waiting: list[tuple[Any, str]] = []
             for shard, key in remaining:
                 assert key is not None  # claim mode requires a store
-                if not self.store.try_claim(
+                if not store.try_claim(
                     key, self.claim_owner, stale_after=self.stale_claim_after
                 ):
                     waiting.append((shard, key))
@@ -410,28 +484,22 @@ class SweepExecutor:
                 # entry proves nobody computed this shard — duplicates
                 # are impossible outside stale takeover of a live
                 # worker.
-                drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-                if drops is not None:
-                    self._merge(merged, shard, drops)
-                    self.store.release_claim(key)
+                payload = job.load(store, key, shard)
+                if payload is not None:
+                    self._merge(job, shard, payload)
+                    store.release_claim(key)
                 else:
                     mine.append((shard, key))
             if mine:
                 try:
-                    self._execute(requests, merged, mine)
+                    self._execute(job, mine)
                 finally:
                     # Results are persisted (or at least merged); drop
                     # the claims so crashes here don't strand shards
                     # until stale takeover.
                     for _, key in mine:
-                        self.store.release_claim(key)
-            remaining = []
-            for shard, key in waiting:
-                drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-                if drops is not None:
-                    self._merge(merged, shard, drops)
-                else:
-                    remaining.append((shard, key))
+                        store.release_claim(key)
+            remaining = self._fold_stored(job, waiting)
             if remaining and not mine:
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(
@@ -441,56 +509,52 @@ class SweepExecutor:
                 time.sleep(self.claim_poll_interval)
 
     def _resolve_cached(
-        self,
-        requests: list[EvalRequest],
-        shards: list[_Shard],
-        merged: list[np.ndarray],
-    ) -> "list[tuple[_Shard, str | None]]":
-        """Merge store hits in place; return the shards left to compute.
+        self, job: Any
+    ) -> "list[tuple[Any, str | None]]":
+        """Fold store hits in place; return the shards left to compute.
 
         Each pending entry carries the shard's precomputed store key
         (``None`` without a store) so completion can persist the result
         without re-hashing the request.
         """
         if self.store is None:
-            return [(shard, None) for shard in shards]
-        from repro.store.keys import shard_key
+            return [(shard, None) for shard in job.shards]
+        return self._fold_stored(
+            job, [(shard, job.key(shard)) for shard in job.shards]
+        )
 
-        pending: list[tuple[_Shard, str | None]] = []
-        for shard in shards:
-            key = shard_key(requests[shard.request_index], shard)
-            drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-            if drops is not None:
-                self._merge(merged, shard, drops)
+    def _fold_stored(
+        self, job: Any, shards: "list[tuple[Any, str]]"
+    ) -> "list[tuple[Any, str | None]]":
+        """Fold every shard the store holds; return the others."""
+        assert self.store is not None
+        missing: list[tuple[Any, str | None]] = []
+        for shard, key in shards:
+            payload = job.load(self.store, key, shard)
+            if payload is not None:
+                self._merge(job, shard, payload)
             else:
-                pending.append((shard, key))
-        return pending
+                missing.append((shard, key))
+        return missing
 
-    def _persist(
-        self,
-        request: EvalRequest,
-        shard: _Shard,
-        key: str | None,
-        drops: np.ndarray,
+    def _finish(
+        self, job: Any, shard: Any, key: str | None, payload: Any
     ) -> None:
-        """Write one completed shard back to the store (if attached).
+        """Fold one freshly computed shard, then write it to the store.
 
         Persistence failures (disk full, store turned read-only, ...)
-        must not lose the freshly simulated result or abort the sweep:
-        the merged statistics are already correct without the cache, so
-        the error is downgraded to a warning and counted on the store's
+        must not lose the freshly computed result or abort the run: the
+        merged result is already correct without the cache, so the
+        error is downgraded to a warning and counted on the store's
         ``write_errors`` stat — the worst case of an unwritable store is
         recomputation next run, mirroring the read path's recovery
         discipline.
         """
+        self._merge(job, shard, payload)
         if self.store is None or key is None:
             return
         try:
-            self.store.put_shard(
-                key,
-                drops,
-                meta={"policy": request.policy.name, "offset": shard.offset},
-            )
+            job.save(self.store, key, shard, payload)
         except OSError as exc:
             import warnings
 
@@ -521,13 +585,7 @@ class SweepExecutor:
         ]
 
     @staticmethod
-    def _merge(
-        merged: list[np.ndarray], shard: _Shard, drops: np.ndarray
-    ) -> None:
-        if drops.shape != (shard.num_runs,):
-            raise RuntimeError(
-                f"shard returned {drops.shape}, expected ({shard.num_runs},)"
-            )
-        merged[shard.request_index][
-            shard.offset : shard.offset + shard.num_runs
-        ] = drops
+    def _merge(job: Any, shard: Any, payload: Any) -> None:
+        """Fold one shard's payload into ``job`` (every shard passes here
+        exactly once, cached or fresh)."""
+        job.fold(shard, payload)

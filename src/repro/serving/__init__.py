@@ -11,11 +11,11 @@ instead of trajectories:
 * :mod:`repro.serving.metrics` — P²-quantile sketches, exact streaming
   quantiles for the discrete queue-length distribution, windowed
   drop-rate/throughput series with bounded coarsening.
-* :mod:`repro.serving.engine` — the chunked streaming driver, replica
-  sharding through the same seed discipline as
-  :class:`repro.experiments.parallel.SweepExecutor`, experiment-store
-  caching of streaming shards, and the scenario entry point behind the
-  ``stream`` CLI subcommand.
+* :mod:`repro.serving.engine` — the chunked streaming driver, whose
+  replica chunks run through
+  :class:`repro.experiments.parallel.SweepExecutor` (workers,
+  experiment-store caching, claims, merge-only), and the scenario entry
+  point behind the ``stream`` CLI subcommand.
 * :mod:`repro.serving.control` — the closed-loop controller hook: a
   :class:`~repro.serving.control.Controller` observes the same delayed
   windowed surface a dispatcher sees and may switch/blend the active

@@ -6,17 +6,16 @@ every epoch into :class:`repro.serving.metrics.StreamingMetrics` —
 memory stays O(E·M + max_windows), independent of the horizon (asserted
 by ``benchmarks/bench_streaming.py``).
 
-:func:`run_stream_request` shards a :class:`StreamRequest` over replica
-chunks with **exactly** the seed discipline of
-:class:`repro.experiments.parallel.SweepExecutor` (same chunk layout,
-same ``SeedSequence`` children), executes the chunks in-process or on a
-process pool, and merges per-replica summaries by offset — results are
-bit-identical for any worker count. With an
-:class:`repro.store.store.ExperimentStore` attached, each streaming
-shard is cached under a content key from
-:func:`repro.store.keys.stream_shard_key` — streaming shards
-fingerprint like finite-sweep shards, so killed streams resume where
-they stopped.
+:func:`run_stream_request` runs a :class:`StreamRequest`'s replica
+chunks through :class:`repro.experiments.parallel.SweepExecutor`, the
+same shard executor as the finite sweeps (same chunk layout, same
+``SeedSequence`` children), and merges per-replica summaries by offset —
+results are bit-identical for any worker count. Every execution knob
+applies: with an :class:`repro.store.store.ExperimentStore` attached,
+each streaming shard is cached under a content key from
+:func:`repro.store.keys.stream_shard_key`, so killed streams resume
+where they stopped, ``claim`` partitions a stream between hosts and
+``merge_only`` assembles it from the store.
 
 :func:`run_stream_scenario` is the entry point behind
 ``python -m repro.experiments.cli stream <scenario>``: it instantiates
@@ -26,7 +25,6 @@ suite.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,10 +32,13 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.execution import ExecutionContext
-from repro.queueing.batched_env import (
-    BatchedFiniteSystemEnv,
-    _BatchedQueueSystemBase,
+from repro.experiments.parallel import (
+    SweepExecutor,
+    _ChunkJob,
+    _check_chunked_request,
+    _shard_env,
 )
+from repro.queueing.batched_env import _BatchedQueueSystemBase
 from repro.serving.control import Controller, ControlLoop
 from repro.serving.metrics import (
     DEFAULT_MAX_WINDOWS,
@@ -50,6 +51,7 @@ from repro.utils.stats import mean_confidence_interval
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
+    from repro.experiments.parallel import _Shard
     from repro.policies.base import UpperLevelPolicy
     from repro.queueing.chaos import DegradationSchedule
 
@@ -87,32 +89,15 @@ class StreamRequest:
     policies: "dict[str, UpperLevelPolicy] | None" = None
 
     def __post_init__(self) -> None:
-        from repro.queueing.backends import available_backends
-
-        if self.sim_backend != "auto" and (
-            self.sim_backend not in available_backends()
-        ):
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; registered "
-                f"kernels: {available_backends()} (or 'auto')"
-            )
+        _check_chunked_request(self)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1 epoch")
         if self.window < 1:
             raise ValueError("window must be >= 1 epoch")
         if self.num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        if self.max_batch_replicas < 1:
-            raise ValueError("max_batch_replicas must be >= 1")
         if self.max_windows < 1:
             raise ValueError("max_windows must be >= 1")
-        if self.env_cls is not None and not issubclass(
-            self.env_cls, _BatchedQueueSystemBase
-        ):
-            raise ValueError(
-                "streaming requires a batched environment class, got "
-                f"{self.env_cls!r}"
-            )
         if self.controller is not None and not isinstance(
             self.controller, Controller
         ):
@@ -122,8 +107,9 @@ class StreamRequest:
         if self.policies is not None and self.controller is None:
             raise ValueError("policies requires a controller")
 
-    def resolved_env_cls(self) -> type:
-        return self.env_cls or BatchedFiniteSystemEnv
+    def resolved_runs(self) -> int:
+        """Replica count (the executor's chunking input)."""
+        return int(self.num_replicas)
 
     def window_widths(self) -> np.ndarray:
         """Deterministic retained-window layout of this request."""
@@ -262,8 +248,8 @@ def run_stream(
         Closed-loop hook (:mod:`repro.serving.control`): consulted
         every ``controller.decision_interval`` epochs with the delayed
         windowed observation surface, may keep/switch/re-weight the
-        policy or autoscale the fleet. ``None`` keeps the exact
-        uncontrolled loop; a
+        policy or autoscale the fleet. ``None`` streams the initial
+        policy throughout; a
         :class:`~repro.serving.control.StaticController` drives the
         full hook machinery and is bit-identical to ``None`` (tested).
     policies : dict, optional
@@ -293,34 +279,30 @@ def run_stream(
         window=window,
         max_windows=max_windows,
     )
-    if controller is None:
-        for _ in range(horizon):
-            _, _, info = env.step_with_policy(policy)
-            if info.get("chaos_rates_changed"):
-                # A capacity event re-rated the fleet this epoch; the
-                # new rates applied during the epoch's serve, so the
-                # fold adopts them before consuming it.
-                metrics.resize(env.service_rates)
-            metrics.observe_epoch(
-                env.queue_states, info["drops_total"], info["arrival_rates"]
-            )
-        return metrics
-    loop = ControlLoop(env, metrics, controller, policy, policies)
+    loop = (
+        ControlLoop(env, metrics, controller, policy, policies)
+        if controller is not None
+        else None
+    )
     for _ in range(horizon):
-        _, _, info = env.step_with_policy(loop.active_policy)
+        _, _, info = env.step_with_policy(
+            policy if loop is None else loop.active_policy
+        )
         states = env.queue_states
         if info.get("chaos_rates_changed"):
+            # A capacity event re-rated the fleet this epoch; the new
+            # rates applied during the epoch's serve, so the fold
+            # adopts them before consuming it.
             metrics.resize(env.service_rates)
         metrics.observe_epoch(
             states, info["drops_total"], info["arrival_rates"]
         )
-        loop.after_epoch(states, info)
+        if loop is not None:
+            loop.after_epoch(states, info)
     return metrics
 
 
-def _run_stream_shard(
-    request: StreamRequest, num_runs: int, seed_material
-) -> np.ndarray:
+def _run_stream_shard(request: StreamRequest, shard: "_Shard") -> np.ndarray:
     """Execute one replica chunk; returns the flat cacheable payload.
 
     Layout: per-replica summaries ``(num_runs × F)`` raveled, followed
@@ -328,16 +310,7 @@ def _run_stream_shard(
     ``W`` is deterministic (:func:`repro.serving.metrics.window_layout`),
     so the payload reshapes without metadata. Module-level for pickling.
     """
-    rng = np.random.default_rng(seed_material)
-    env_kwargs = dict(request.env_kwargs)
-    if request.sim_backend != "numpy":
-        env_kwargs.setdefault("backend", request.sim_backend)
-    env = request.resolved_env_cls()(
-        request.config,
-        num_replicas=num_runs,
-        seed=rng,
-        **env_kwargs,
-    )
+    env, rng = _shard_env(request, shard)
     metrics = run_stream(
         env,
         request.policy,
@@ -353,29 +326,48 @@ def _run_stream_shard(
     )
 
 
-def _shard_layout(request: StreamRequest) -> list[tuple[int, int]]:
-    """``(offset, num_runs)`` per chunk — SweepExecutor's exact layout."""
-    from repro.experiments.parallel import _chunk_sizes
+class _StreamJob(_ChunkJob):
+    """One stream's replica chunks: summaries by offset, windows
+    replica-weighted."""
 
-    sizes = _chunk_sizes(request.num_replicas, request.max_batch_replicas)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return list(zip((int(o) for o in offsets), sizes))
+    def __init__(self, request: StreamRequest) -> None:
+        super().__init__([request])
+        self.request = request
+        self.widths = request.window_widths()
+        self.summaries = np.empty((request.num_replicas, len(SUMMARY_FIELDS)))
+        self.window_parts: dict[int, np.ndarray] = {}
 
+    def key(self, shard: "_Shard") -> str:
+        from repro.store.keys import stream_shard_key
 
-def _stream_context(context: ExecutionContext | None) -> ExecutionContext:
-    """The stream's execution knobs; claim modes are rejected.
+        return stream_shard_key(self.request, shard.num_runs, shard.seeds[0])
 
-    Stream shards have no claim protocol, so ``claim``/``merge_only``
-    would be silently ignored — refuse them instead.
-    """
-    ctx = context or ExecutionContext()
-    if ctx.claim or ctx.merge_only:
-        flag = "claim" if ctx.claim else "merge_only"
-        raise ValueError(
-            f"streams do not support {flag}=True: stream shards have no "
-            "claim protocol; use workers/store only"
+    def task(self, shard: "_Shard") -> tuple:
+        return _run_stream_shard, (self.request, shard)
+
+    def payload_size(self, shard: "_Shard") -> int:
+        return (
+            shard.num_runs * len(SUMMARY_FIELDS)
+            + self.widths.size * len(WINDOW_FIELDS)
         )
-    return ctx
+
+    def fold(self, shard: "_Shard", payload: np.ndarray) -> None:
+        # A malformed payload fails one of the two reshapes.
+        runs, n_sum = shard.num_runs, len(SUMMARY_FIELDS)
+        self.summaries[shard.offset : shard.offset + runs] = payload[
+            : runs * n_sum
+        ].reshape(runs, n_sum)
+        self.window_parts[shard.offset] = payload[runs * n_sum :].reshape(
+            self.widths.size, len(WINDOW_FIELDS)
+        )
+
+    def window_rows(self) -> np.ndarray:
+        """Replica-averaged window rows, summed in shard order so they
+        never depend on which shard finished (or was cached) first."""
+        acc = np.zeros((self.widths.size, len(WINDOW_FIELDS)))
+        for shard in self.shards:
+            acc += shard.num_runs * self.window_parts[shard.offset]
+        return acc / self.request.num_replicas
 
 
 def run_stream_request(
@@ -391,121 +383,40 @@ def run_stream_request(
         ``max_batch_replicas`` — those are request properties here
         because they shape the cacheable shard payloads).
     context : ExecutionContext, optional
-        Execution knobs (``None`` means the defaults): ``workers`` is
-        the process count (``1`` stays in-process; never changes the
-        merged result); ``store`` the content-addressed shard cache
-        (chunks already streamed by a previous, possibly killed, run
-        are merged from the store instead of simulated,
-        bit-identically). The context's
+        Execution knobs (``None`` means the defaults), applied by
+        :class:`~repro.experiments.parallel.SweepExecutor` exactly as
+        for finite sweeps: ``workers`` is the process count (``1``
+        stays in-process; never changes the merged result); ``store``
+        the content-addressed shard cache (chunks already streamed by a
+        previous, possibly killed, run are merged from the store
+        instead of simulated, bit-identically); ``claim`` partitions
+        the chunks between hosts sharing the store; ``merge_only``
+        assembles a finished stream from the store without simulating
+        (``RuntimeError`` if a chunk is missing). The context's
         ``sim_backend``/``max_batch_replicas`` are ignored in favor of
-        the request's; ``claim``/``merge_only`` raise ``ValueError``
-        (stream shards have no claim protocol).
+        the request's.
 
     Returns
     -------
     StreamResult
         Per-replica summaries and the merged windowed series.
     """
-    from repro.experiments.parallel import _spawn_seed_children
-    from repro.store.keys import stream_shard_key
-
-    ctx = _stream_context(context)
-    workers = ctx.workers
-    store = ctx.store
-    layout = _shard_layout(request)
-    children = _spawn_seed_children(request.seed, len(layout))
-    widths = request.window_widths()
-    n_sum = len(SUMMARY_FIELDS)
-    n_win = len(WINDOW_FIELDS)
-    flat_len = {
-        runs: runs * n_sum + widths.size * n_win for _, runs in layout
-    }
-
-    summaries = np.empty((request.num_replicas, n_sum))
-    window_acc = np.zeros((widths.size, n_win))
-    pending: list[tuple[int, int, Any, str | None]] = []
-    for (offset, runs), child in zip(layout, children):
-        key = None
-        if store is not None:
-            key = stream_shard_key(request, runs, child)
-            cached = store.get_shard(key, expected_runs=flat_len[runs])
-            if cached is not None:
-                _merge_stream_shard(
-                    summaries, window_acc, offset, runs, widths.size, cached
-                )
-                continue
-        pending.append((offset, runs, child, key))
-
-    def finish(offset, runs, key, payload):
-        _merge_stream_shard(
-            summaries, window_acc, offset, runs, widths.size, payload
-        )
-        if store is not None and key is not None:
-            store.put_shard(
-                key,
-                payload,
-                meta={"policy": request.policy.name, "offset": offset},
-            )
-
-    if workers == 1 or len(pending) <= 1:
-        for offset, runs, child, key in pending:
-            finish(offset, runs, key, _run_stream_shard(request, runs, child))
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(_run_stream_shard, request, runs, child): (
-                    offset,
-                    runs,
-                    key,
-                )
-                for offset, runs, child, key in pending
-            }
-            try:
-                for future in as_completed(futures):
-                    offset, runs, key = futures[future]
-                    finish(offset, runs, key, future.result())
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+    ctx = context or ExecutionContext()
+    job = _StreamJob(request)
+    SweepExecutor(ctx).run_job(job)
     return StreamResult(
         policy_name=request.policy.name,
         config=request.config,
         horizon=request.horizon,
         window=request.window,
-        summaries=summaries,
-        window_widths=widths,
-        window_rows=window_acc / request.num_replicas,
-        workers=int(workers),
+        summaries=job.summaries,
+        window_widths=job.widths,
+        window_rows=job.window_rows(),
+        workers=int(ctx.workers),
         controller_name=(
             request.controller.name if request.controller else None
         ),
     )
-
-
-def _merge_stream_shard(
-    summaries: np.ndarray,
-    window_acc: np.ndarray,
-    offset: int,
-    runs: int,
-    num_windows: int,
-    payload: np.ndarray,
-) -> None:
-    """Fold one shard's flat payload into the merged accumulators."""
-    n_sum = len(SUMMARY_FIELDS)
-    n_win = len(WINDOW_FIELDS)
-    expected = runs * n_sum + num_windows * n_win
-    if payload.shape != (expected,):
-        raise RuntimeError(
-            f"stream shard payload has shape {payload.shape}, "
-            f"expected ({expected},)"
-        )
-    summaries[offset : offset + runs] = payload[: runs * n_sum].reshape(
-        runs, n_sum
-    )
-    window_acc += runs * payload[runs * n_sum :].reshape(num_windows, n_win)
 
 
 def run_stream_scenario(
@@ -559,8 +470,9 @@ def run_stream_scenario(
     seed :
         As in :func:`run_stream_request`.
     context : ExecutionContext, optional
-        Execution knobs (workers, store; the context's ``sim_backend``
-        and ``max_batch_replicas`` are forwarded to the request).
+        Execution knobs, as in :func:`run_stream_request`; the
+        context's ``sim_backend`` and ``max_batch_replicas`` are
+        forwarded to the request.
 
     Raises
     ------
@@ -568,13 +480,10 @@ def run_stream_scenario(
         Unknown scenario (message lists the catalogue), unknown policy
         name (message lists the suite), or unknown controller name
         (message lists the scenario's controllers).
-    ValueError
-        A context with ``claim`` or ``merge_only`` set (stream shards
-        have no claim protocol).
     """
     from repro.scenarios.registry import get_scenario
 
-    ctx = _stream_context(context)
+    ctx = context or ExecutionContext()
     spec = get_scenario(name)
     dt = float(delta_t) if delta_t is not None else spec.delta_ts[0]
     config = spec.config_for(dt, num_queues=num_queues)

@@ -118,6 +118,9 @@ class TestEntryPointThreading:
             ("repro.experiments.parallel:SweepExecutor", "workers"),
             ("repro.experiments.parallel:SweepExecutor", "store"),
             ("repro.experiments.parallel:SweepExecutor", "merge_only"),
+            ("repro.experiments.campaign:run_campaign", "workers"),
+            ("repro.experiments.campaign:run_campaign", "store"),
+            ("repro.experiments.campaign:run_campaign", "claim"),
         ],
     )
     def test_legacy_knobs_are_gone(self, entry_point, legacy):

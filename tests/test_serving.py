@@ -302,35 +302,54 @@ class TestStreamRequest:
                 config=config, policy=jsq, horizon=5, window=5, env_cls=dict
             )
 
-    def test_claim_mode_rejected(self, config, jsq, tmp_path):
-        """Stream shards have no claim protocol: a claim context must
-        fail loudly instead of being silently ignored."""
+    def test_claim_mode_splits_a_stream_across_hosts(
+        self, config, jsq, tmp_path
+    ):
+        """Two claim-mode executors (threads standing in for hosts)
+        share one store: together they compute each chunk once, and
+        both merge results bit-identical to a single-host run."""
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.store import ExperimentStore
 
-        context = ExecutionContext(
-            store=ExperimentStore(tmp_path / "store"), claim=True
+        request = StreamRequest(
+            config=config,
+            policy=jsq,
+            horizon=8,
+            window=3,
+            num_replicas=6,
+            seed=2,
+            env_kwargs={"per_packet_randomization": True},
+            max_batch_replicas=2,
         )
-        request = StreamRequest(config=config, policy=jsq, horizon=4, window=2)
-        with pytest.raises(ValueError, match="claim=True"):
-            run_stream_request(request, context=context)
-        with pytest.raises(ValueError, match="claim=True"):
-            run_stream_scenario(
-                "diurnal-stream", horizon=4, num_queues=8, context=context
-            )
+        single = run_stream_request(request)
+        store = ExperimentStore(tmp_path / "store")
+        context = ExecutionContext(store=store, claim=True)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            hosts = [
+                pool.submit(run_stream_request, request, context)
+                for _ in range(2)
+            ]
+            results = [host.result(timeout=120) for host in hosts]
+        for result in results:
+            assert np.array_equal(result.summaries, single.summaries)
+            assert np.array_equal(result.window_rows, single.window_rows)
+        assert store.stats.writes == 3
 
-    def test_merge_only_mode_rejected(self, config, jsq, tmp_path):
+    def test_merge_only_on_empty_store_raises(self, config, jsq, tmp_path):
         from repro.store import ExperimentStore
 
         store = ExperimentStore(tmp_path / "store")
         context = ExecutionContext(store=store, merge_only=True)
         request = StreamRequest(config=config, policy=jsq, horizon=4, window=2)
-        with pytest.raises(ValueError, match="merge_only=True"):
+        with pytest.raises(RuntimeError, match="missing 1 shard"):
             run_stream_request(request, context=context)
-        with pytest.raises(ValueError, match="merge_only=True"):
+        with pytest.raises(RuntimeError, match="missing"):
             run_stream_scenario(
                 "diurnal-stream", horizon=4, num_queues=8, context=context
             )
         assert store.stats.writes == 0
+        assert len(store) == 0
 
     def test_worker_count_invariance(self, config, jsq):
         request = StreamRequest(
@@ -346,7 +365,7 @@ class TestStreamRequest:
         serial = run_stream_request(request, context=ExecutionContext(workers=1))
         pooled = run_stream_request(request, context=ExecutionContext(workers=2))
         assert np.array_equal(serial.summaries, pooled.summaries)
-        assert np.allclose(serial.window_rows, pooled.window_rows)
+        assert np.array_equal(serial.window_rows, pooled.window_rows)
 
     def test_chunking_invariance(self, config, jsq):
         """Replica chunk size never changes the merged summaries —

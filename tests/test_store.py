@@ -656,24 +656,72 @@ class TestReproduce:
         assert not (tmp_path / "res" / "fig5-tiny.txt").exists()
 
 
+def _finite_shards(config, jsq, context):
+    (drops,) = SweepExecutor(context).run_drops([_request(config, jsq)])
+    return drops, 3
+
+
+def _stream_shards(config, jsq, context):
+    from repro.serving.engine import StreamRequest, run_stream_request
+
+    request = StreamRequest(
+        config=config,
+        policy=jsq,
+        horizon=6,
+        window=3,
+        num_replicas=4,
+        seed=1,
+        max_batch_replicas=2,
+    )
+    result = run_stream_request(request, context=context)
+    return np.concatenate([result.summaries.ravel(), result.window_rows.ravel()]), 2
+
+
+def _training_shards(config, jsq, context):
+    from repro.config import PPOConfig
+    from repro.experiments.campaign import (
+        RegimeSpec,
+        TrainingBudget,
+        run_campaign,
+    )
+
+    regime = RegimeSpec(
+        name="tiny",
+        config=_config(num_clients=40, num_queues=4, buffer_size=2),
+        horizon=5,
+    )
+    ppo = PPOConfig(
+        train_batch_size=20, minibatch_size=10, num_epochs=1, hidden_sizes=(8,)
+    )
+    budget = TrainingBudget(
+        iterations=1, num_envs=1, critic_warmup=0, eval_episodes=2
+    )
+    (result,) = run_campaign([regime], ppo, budget, context=context).values()
+    state = result.policy.network.state_dict()
+    return np.concatenate([result.curve, *(v.ravel() for v in state.values())]), 1
+
+
 class TestWriteFailureTolerance:
+    @pytest.mark.parametrize(
+        "run",
+        [_finite_shards, _stream_shards, _training_shards],
+        ids=["finite", "stream", "training"],
+    )
     def test_unwritable_store_degrades_to_warning(
-        self, config, jsq, store, monkeypatch
+        self, config, jsq, store, monkeypatch, run
     ):
-        """A store that cannot persist must not abort the sweep or change
-        its numbers — the simulated result is already correct."""
-        cold = SweepExecutor().run_drops([_request(config, jsq)])
+        """A store that cannot persist must not abort the run or change
+        its numbers — the computed result is already correct."""
+        cold, num_shards = run(config, jsq, ExecutionContext())
 
         def broken_put(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(store, "put_shard", broken_put)
+        monkeypatch.setattr(store, "put_entry", broken_put)
         with pytest.warns(RuntimeWarning, match="store write failed"):
-            cached = SweepExecutor(ExecutionContext(store=store)).run_drops(
-                [_request(config, jsq)]
-            )
-        np.testing.assert_array_equal(cold[0], cached[0])
-        assert store.stats.write_errors == 3
+            cached, _ = run(config, jsq, ExecutionContext(store=store))
+        assert cold.tobytes() == cached.tobytes()
+        assert store.stats.write_errors == num_shards
         assert len(store) == 0
 
     def test_preflight_rejects_unregistered_scenario(self, tmp_path):

@@ -4,15 +4,21 @@ The campaign's contract: a finished regime is a pure function of
 ``(regime, ppo, budget, seed)``. Everything here leans on that —
 store resume after a kill is bit-identical, results are invariant to
 the worker count, and multi-host claim partitioning never recomputes a
-finished shard.
+finished shard. Regimes run through the same shard executor as the
+sweeps, so execution knobs arrive in one ``ExecutionContext``.
 """
 
 from __future__ import annotations
+
+import functools
+import threading
 
 import numpy as np
 import pytest
 
 from repro.config import PPOConfig, SystemConfig
+from repro.execution import ExecutionContext
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CAMPAIGN_DELTA_TS,
     REGIME_POLICY_LABEL,
@@ -20,7 +26,6 @@ from repro.experiments.campaign import (
     TrainingBudget,
     available_regime_checkpoints,
     campaign_ppo_config,
-    collect_cached,
     default_regimes,
     package_policies,
     regime_checkpoint_path,
@@ -30,6 +35,7 @@ from repro.experiments.campaign import (
 from repro.meanfield.features import ObservationFeatures
 from repro.policies.learned import NeuralPolicy
 from repro.queueing.delays import DeterministicDelay, MarkovModulatedDelay
+from repro.experiments.parallel import SweepExecutor
 from repro.rl.nn import GaussianPolicyNetwork, widen_input_weights
 from repro.store.keys import train_shard_key
 from repro.store.store import ExperimentStore
@@ -234,6 +240,10 @@ class TestWidenInputWeights:
 # ---------------------------------------------------------------------------
 # Campaign durability
 # ---------------------------------------------------------------------------
+def _stored(store):
+    return ExecutionContext(store=store)
+
+
 class TestCampaignResume:
     def test_kill_resume_is_bit_identical(self, tmp_path):
         regimes = [
@@ -244,9 +254,11 @@ class TestCampaignResume:
         ref = run_campaign(regimes, _PPO, _BUDGET, seed=1)
         # "Killed" campaign: only regime a finished before the kill.
         store = ExperimentStore(tmp_path)
-        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, store=store)
+        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, context=_stored(store))
         # Resumed campaign: a replays from the store, b trains fresh.
-        resumed = run_campaign(regimes, _PPO, _BUDGET, seed=1, store=store)
+        resumed = run_campaign(
+            regimes, _PPO, _BUDGET, seed=1, context=_stored(store)
+        )
         assert resumed["a"].from_cache and not resumed["b"].from_cache
         for name in ("a", "b"):
             assert _states_equal(ref[name].policy, resumed[name].policy)
@@ -255,8 +267,8 @@ class TestCampaignResume:
     def test_cached_result_restores_metadata(self, tmp_path):
         store = ExperimentStore(tmp_path)
         regime = _tiny_regime()
-        first = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
-        again = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        first = run_campaign([regime], _PPO, _BUDGET, 2, _stored(store))["tiny"]
+        again = run_campaign([regime], _PPO, _BUDGET, 2, _stored(store))["tiny"]
         assert again.from_cache
         assert again.key == first.key
         assert again.meta["kept"] == first.meta["kept"]
@@ -267,11 +279,41 @@ class TestCampaignResume:
     def test_corrupted_shard_recomputes(self, tmp_path):
         store = ExperimentStore(tmp_path)
         regime = _tiny_regime()
-        first = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        first = run_campaign([regime], _PPO, _BUDGET, 2, _stored(store))["tiny"]
         store.path_for(first.key).write_bytes(b"garbage")
-        redone = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        redone = run_campaign([regime], _PPO, _BUDGET, 2, _stored(store))["tiny"]
         assert not redone.from_cache
         assert _states_equal(first.policy, redone.policy)
+
+    def test_nan_learning_curve_resumes_bit_identical(self, tmp_path):
+        """Regression: an iteration that finishes no episode reports a
+        NaN mean return. The stored entry must still read back (the
+        store rejects non-finite floats), with the NaNs in place."""
+        # 30 steps per env per iteration against a 40-epoch horizon:
+        # the first iteration completes no episode.
+        regime = _tiny_regime(horizon=40)
+        store = ExperimentStore(tmp_path)
+        first = run_campaign([regime], _PPO, _BUDGET, 3, _stored(store))["tiny"]
+        assert np.isnan(first.curve[0]) and np.isfinite(first.curve).any()
+        resumed = run_campaign([regime], _PPO, _BUDGET, 3, _stored(store))
+        resumed = resumed["tiny"]
+        assert resumed.from_cache
+        assert store.stats.invalid == 0
+        assert resumed.curve.tobytes() == first.curve.tobytes()
+        assert _states_equal(first.policy, resumed.policy)
+
+    def test_nan_curve_entry_keeps_the_finiteness_check(self, tmp_path):
+        """Only the curve's NaNs are encoded; a non-finite policy
+        parameter still quarantines the entry."""
+        store = ExperimentStore(tmp_path)
+        regime = _tiny_regime()
+        first = run_campaign([regime], _PPO, _BUDGET, 2, _stored(store))["tiny"]
+        arrays, meta = store.get_entry(first.key)
+        name = next(k for k in arrays if k.startswith("policy/"))
+        arrays[name] = np.full_like(arrays[name], np.nan)
+        store.put_entry(first.key, arrays, meta)
+        assert store.get_entry(first.key) is None
+        assert store.stats.invalid == 1
 
 
 class TestWorkerInvariance:
@@ -285,70 +327,128 @@ class TestWorkerInvariance:
                 features=ObservationFeatures(occupancy=True),
             ),
         ]
-        seq = run_campaign(regimes, _PPO, _BUDGET, seed=1, workers=1)
+        seq = run_campaign(regimes, _PPO, _BUDGET, seed=1)
         par = run_campaign(
             regimes,
             _PPO,
             _BUDGET,
             seed=1,
-            store=ExperimentStore(tmp_path),
-            workers=2,
+            context=ExecutionContext(
+                workers=2, store=ExperimentStore(tmp_path)
+            ),
         )
-        assert set(seq) == set(par) == {"a", "b", "c"}
+        assert list(seq) == list(par) == ["a", "b", "c"]
         for name in seq:
             assert _states_equal(seq[name].policy, par[name].policy)
+            assert np.array_equal(seq[name].curve, par[name].curve)
 
 
 class TestClaimMode:
-    def test_claimed_regimes_are_skipped_then_resumed(self, tmp_path):
+    def test_claimed_regime_is_waited_for(self, tmp_path, monkeypatch):
+        """A regime another host holds blocks the campaign (claim_timeout
+        turns the wait into TimeoutError); once that host releases the
+        claim, the run completes with every regime."""
+        monkeypatch.setattr(
+            campaign,
+            "SweepExecutor",
+            functools.partial(
+                SweepExecutor, claim_poll_interval=0.02, claim_timeout=0.3
+            ),
+        )
         store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=store, claim=True)
         regimes = [_tiny_regime("a"), _tiny_regime("b", horizon=12)]
         key_b = train_shard_key(regimes[1], _PPO, _BUDGET, 1)
         assert store.try_claim(key_b, "other-host")
-        partial = run_campaign(
-            regimes,
-            _PPO,
-            _BUDGET,
-            seed=1,
-            store=store,
-            claim=True,
-            owner="me",
-        )
-        assert set(partial) == {"a"}
+        with pytest.raises(TimeoutError, match="1 shard"):
+            run_campaign(
+                regimes, _PPO, _BUDGET, seed=1, context=context,
+                claim_owner="me",
+            )
+        # The claim is still the other host's; ours were released.
+        assert store.claim_owner(key_b) == "other-host"
         store.release_claim(key_b)
         full = run_campaign(
-            regimes,
-            _PPO,
-            _BUDGET,
-            seed=1,
-            store=store,
-            claim=True,
-            owner="me",
+            regimes, _PPO, _BUDGET, seed=1, context=context, claim_owner="me"
         )
-        assert set(full) == {"a", "b"}
+        assert list(full) == ["a", "b"]
         assert full["a"].from_cache and not full["b"].from_cache
         # Claims are released after computing: nothing left behind.
         assert store.claim_owner(key_b) is None
 
-    def test_claim_mode_requires_store_and_owner(self):
-        with pytest.raises(ValueError, match="store"):
-            run_campaign([_tiny_regime()], _PPO, _BUDGET, claim=True)
-        with pytest.raises(ValueError, match="owner"):
-            run_campaign(
-                [_tiny_regime()],
-                _PPO,
-                _BUDGET,
-                claim=True,
-                store=ExperimentStore("/tmp/unused-claim-store"),
-            )
+    def test_waiting_host_merges_the_other_hosts_regime(
+        self, tmp_path, monkeypatch
+    ):
+        """While this host waits on a foreign claim, the other host
+        finishes the regime; this host merges it without training."""
+        monkeypatch.setattr(
+            campaign,
+            "SweepExecutor",
+            functools.partial(
+                SweepExecutor, claim_poll_interval=0.02, claim_timeout=120
+            ),
+        )
+        store = ExperimentStore(tmp_path)
+        regime = _tiny_regime()
+        key = train_shard_key(regime, _PPO, _BUDGET, 1)
+        assert store.try_claim(key, "other-host")
 
-    def test_collect_cached_merges_only_finished(self, tmp_path):
+        def other_host():
+            try:
+                run_campaign(
+                    [regime], _PPO, _BUDGET, seed=1,
+                    context=ExecutionContext(store=ExperimentStore(tmp_path)),
+                )
+            finally:
+                store.release_claim(key)
+
+        thread = threading.Thread(target=other_host)
+        thread.start()
+        try:
+            merged = run_campaign(
+                [regime], _PPO, _BUDGET, seed=1,
+                context=ExecutionContext(store=store, claim=True),
+            )
+        finally:
+            thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert merged["tiny"].from_cache
+        assert store.stats.writes == 0
+
+    def test_claim_owner_and_stale_takeover_are_forwarded(
+        self, tmp_path, monkeypatch
+    ):
+        """The campaign claims under ``claim_owner`` and never takes
+        over another host's claim unless ``stale_claim_after`` is set."""
+        store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=store, claim=True)
+        calls = []
+        try_claim = store.try_claim
+
+        def spy(key, owner, stale_after=None):
+            calls.append((owner, stale_after))
+            return try_claim(key, owner, stale_after=stale_after)
+
+        monkeypatch.setattr(store, "try_claim", spy)
+        run_campaign([_tiny_regime("a")], _PPO, _BUDGET, seed=1,
+                     context=context, claim_owner="me")
+        run_campaign([_tiny_regime("b")], _PPO, _BUDGET, seed=1,
+                     context=context, claim_owner="me", stale_claim_after=5.0)
+        assert calls == [("me", None), ("me", 5.0)]
+
+    def test_merge_only_requires_every_regime(self, tmp_path):
         store = ExperimentStore(tmp_path)
         regimes = [_tiny_regime("a"), _tiny_regime("b", horizon=12)]
-        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, store=store)
-        merged = collect_cached(regimes, store, _PPO, _BUDGET, seed=1)
-        assert set(merged) == {"a"}
-        assert merged["a"].from_cache
+        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, context=_stored(store))
+        merge_only = ExecutionContext(store=store, merge_only=True)
+        writes = store.stats.writes
+        with pytest.raises(RuntimeError, match="missing 1 shard"):
+            run_campaign(regimes, _PPO, _BUDGET, seed=1, context=merge_only)
+        merged = run_campaign(
+            regimes[:1], _PPO, _BUDGET, seed=1, context=merge_only
+        )
+        assert list(merged) == ["a"] and merged["a"].from_cache
+        assert store.stats.writes == writes
 
 
 # ---------------------------------------------------------------------------
