@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.queueing.clients import _rule_table
 from repro.queueing.queue_ctmc import validate_epoch_inputs
 
 __all__ = ["NUMBA_AVAILABLE", "NumbaEpochKernel", "numba_available"]
@@ -64,15 +65,13 @@ def numba_available() -> bool:
 def _rule_tables(probs: np.ndarray) -> np.ndarray:
     """Flatten a stacked rule table to ``(R, S**d, d)`` with ``R ∈ {1, E}``.
 
-    ``R = 1`` is the stationary shared-rule fast path (zero replica
-    stride — no copy beyond the reshape); kernels index replica ``e``
-    with ``table[e % R]``.
+    ``R = 1`` is the stationary shared-rule fast path of
+    :func:`repro.queueing.clients._rule_table`; kernels index replica
+    ``e`` with ``table[e % R]``.
     """
     s = probs.shape[1]
     d = probs.ndim - 2
-    if probs.strides[0] == 0:
-        return np.ascontiguousarray(probs[0]).reshape(1, s**d, d)
-    return np.ascontiguousarray(probs).reshape(probs.shape[0], s**d, d)
+    return np.ascontiguousarray(_rule_table(probs)).reshape(-1, s**d, d)
 
 
 @njit(cache=True)
@@ -85,10 +84,10 @@ def _committed_counts_loop(observed, sampled, table, num_states, uniforms, count
             flat = observed[e, sampled[e, n, 0]]
             for k in range(1, d):
                 flat = flat * num_states + observed[e, sampled[e, n, k]]
-            # Sequential cdf with the final value forced to exactly 1.0
-            # (the reference backend's round-off guard), then count
-            # strict exceedances of the uniform — replicates
-            # np.cumsum + (u > cdf).sum() bit-for-bit.
+            # Sequential cdf over the first d - 1 slots, count strict
+            # exceedances of the uniform, last slot otherwise (the 1.0
+            # edge is never exceeded) — the same comparisons as the
+            # reference backend's per-table cumsum thresholds.
             u = uniforms[e, n]
             cumulative = 0.0
             slot = 0
@@ -174,7 +173,8 @@ class NumbaEpochKernel:
     ) -> np.ndarray:
         e, m = observed.shape
         # Contract item (b): the slot draw happens at the same stream
-        # position as the reference backend's _batched_sample_slots.
+        # position as the reference backend's slot sampler
+        # (clients._sample_slots).
         uniforms = rng.random(sampled.shape[:-1])
         counts = np.zeros((e, m), dtype=np.int64)
         _committed_counts_loop(

@@ -57,9 +57,11 @@ Two reductions in the choose stage are order-sensitive and therefore
 normative:
 
 * slot selection computes the cdf by *sequential left-to-right
-  addition* over the ``d`` slots with the final cumulative value forced
-  to exactly ``1.0`` (the round-off guard of the reference
-  implementation), then counts strict exceedances of one uniform;
+  addition* over the first ``d − 1`` slots, counts the strict
+  exceedances of one uniform among those ``d − 1`` cumulative values,
+  and picks the last slot otherwise. Because the uniform is ``< 1``,
+  this equals the full ``d``-slot cdf with its final value forced to
+  exactly ``1.0`` (a guard against round-off in the row sum);
 * per-packet accumulation adds each client-slot weight into its queue
   cell in ``(e, n, k)`` row-major order — the accumulation order of
   ``numpy.bincount`` with weights.

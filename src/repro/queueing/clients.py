@@ -77,38 +77,64 @@ def replica_state_counts(states: np.ndarray, num_states: int) -> np.ndarray:
     ).reshape(e, num_states)
 
 
-def _batched_rule_rows(probs: np.ndarray, zbar: np.ndarray) -> np.ndarray:
-    """Rows ``h_e(· | z̄)`` for per-replica sampled states.
+def _rule_table(probs: np.ndarray) -> np.ndarray:
+    """Flatten a stacked rule table to its ``(R·S^d, d)`` rows.
 
-    ``probs`` is a stacked rule table ``(E, S, ..., S, d)`` and ``zbar``
-    an integer array ``(E, N, d)``; returns ``(E, N, d)``. The joint
-    sampled state is flattened to one index per client so the lookup is
-    a single flat :func:`numpy.take` (much faster than a ``d + 1``-axis
+    ``R = 1`` for the stationary shared-rule fast path (zero replica
+    stride: one table, no copy), else ``R = E``.
+    """
+    s = probs.shape[1]
+    d = probs.ndim - 2
+    if probs.strides[0] == 0:
+        return probs[0].reshape(s**d, d)
+    return np.ascontiguousarray(probs).reshape(probs.shape[0] * s**d, d)
+
+
+def _rule_keys(probs: np.ndarray, zbar: np.ndarray) -> np.ndarray:
+    """Row index of ``h_e(· | z̄)`` in :func:`_rule_table`, shape ``(E, N)``.
+
+    The joint sampled state ``z̄`` (``(E, N, d)`` integers) is flattened
+    to one key per client, offset by the replica's table when rules are
+    per-replica — so every lookup is a single flat
+    :func:`numpy.take` (much faster than a ``d + 1``-axis
     fancy-indexing pass on large ``E·N``).
     """
     e = probs.shape[0]
     s = probs.shape[1]
     d = probs.ndim - 2
-    flat = zbar[..., 0]
+    keys = zbar[..., 0]
     for k in range(1, d):
-        flat = flat * s + zbar[..., k]
+        keys = keys * s + zbar[..., k]
     if probs.strides[0] == 0:
-        # Stationary fast path: one shared table, no replica offsets.
-        return probs[0].reshape(s**d, d).take(flat, axis=0)
-    flat = flat + (np.arange(e) * s**d)[:, None]
-    table = np.ascontiguousarray(probs).reshape(e * s**d, d)
-    return table.take(flat, axis=0)
+        return keys
+    return keys + (np.arange(e) * s**d)[:, None]
 
 
-def _batched_sample_slots(
-    rows: np.ndarray, rng: np.random.Generator
+def _batched_rule_rows(probs: np.ndarray, zbar: np.ndarray) -> np.ndarray:
+    """Rows ``h_e(· | z̄)`` for per-replica sampled states, ``(E, N, d)``."""
+    return _rule_table(probs).take(_rule_keys(probs, zbar), axis=0)
+
+
+def _sample_slots(
+    probs: np.ndarray, zbar: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample ``u ~ h(· | z̄)`` from per-client probability rows ``(E, N, d)``."""
-    cdf = np.cumsum(rows, axis=-1)
-    # Guard against round-off: the final cumulative value is exactly 1.
-    cdf[..., -1] = 1.0
-    uniforms = rng.random(rows.shape[:-1])
-    return (uniforms[..., None] > cdf).sum(axis=-1)
+    """Draw each client's slot ``u ~ h(· | z̄)``, shape ``(E, N)``.
+
+    One ``rng.random((E, N))`` call. The cdf is the sequential
+    left-to-right sum over the first ``d − 1`` slots, built once per
+    rule-table row rather than once per client; each client gathers
+    only its ``d − 1`` thresholds and its slot is the number the
+    uniform strictly exceeds (the last slot otherwise). This is the
+    full cdf with its final value forced to 1.0: ``u < 1`` never
+    exceeds that edge.
+    """
+    d = probs.ndim - 2
+    keys = _rule_keys(probs, zbar)
+    uniforms = rng.random(keys.shape)
+    thresholds = np.cumsum(_rule_table(probs)[:, :-1], axis=-1)
+    if d == 2:
+        return (uniforms > thresholds[:, 0].take(keys)).astype(np.intp)
+    return (uniforms[..., None] > thresholds.take(keys, axis=0)).sum(axis=-1)
 
 
 def committed_counts_from_samples(
@@ -144,15 +170,14 @@ def committed_counts_from_samples(
         Integer committed-client counts per queue, shape ``(E, M)``.
     """
     e, m = observed.shape
+    d = sampled.shape[-1]
     offsets = (np.arange(e, dtype=sampled.dtype) * m)[:, None, None]
-    zbar = observed.take((sampled + offsets).ravel()).reshape(sampled.shape)
-    rows = _batched_rule_rows(probs, zbar)
-    slots = _batched_sample_slots(rows, rng)
-    committed = np.take_along_axis(sampled, slots[..., None], axis=-1)[..., 0]
-    row_offsets = np.arange(e, dtype=committed.dtype)[:, None] * m
-    return np.bincount(
-        (committed + row_offsets).ravel(), minlength=e * m
-    ).reshape(e, m)
+    flat = (sampled + offsets).ravel()
+    zbar = observed.take(flat).reshape(sampled.shape)
+    slots = _sample_slots(probs, zbar, rng)
+    # One flat take reads each client's chosen (replica-offset) queue.
+    committed = flat.take(np.arange(0, flat.size, d) + slots.ravel())
+    return np.bincount(committed, minlength=e * m).reshape(e, m)
 
 
 def packet_fractions_from_samples(
@@ -226,9 +251,13 @@ def sample_client_choices(
         raise ValueError("queue_states must have shape (queues,)")
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
+    if not np.all((queue_states >= 0) & (queue_states < rule.num_states)):
+        raise ValueError(
+            f"queue_states must lie in [0, {rule.num_states}) "
+            "(the rule's state space)"
+        )
     sampled = rng.integers(0, queue_states.size, size=(num_clients, rule.d))
-    rows = _batched_rule_rows(stack_rules(rule, 1), queue_states[sampled][None])
-    slots = _batched_sample_slots(rows, rng)[0]
+    slots = _sample_slots(stack_rules(rule, 1), queue_states[sampled][None], rng)[0]
     committed = np.take_along_axis(sampled, slots[:, None], axis=-1)[:, 0]
     return sampled, slots, committed
 

@@ -47,6 +47,12 @@ class Adam:
     (i.e. ``-lr * m_hat / (sqrt(v_hat) + eps)``), leaving application to
     the owning network. Unknown gradient keys raise immediately — a
     misspelled key silently not updating a layer is a classic RL bug.
+
+    Each step works in two preallocated scratch buffers per parameter
+    (``out=`` ufuncs in the textbook operation order, so the result is
+    bit-identical to the allocating formula) and allocates nothing. The
+    returned update arrays are those buffers: they are valid only until
+    the next ``step``, so apply them (or copy them) before stepping again.
     """
 
     def __init__(
@@ -67,6 +73,10 @@ class Adam:
         self.epsilon = epsilon
         self._m = {k: np.zeros(shape) for k, shape in param_shapes.items()}
         self._v = {k: np.zeros(shape) for k, shape in param_shapes.items()}
+        self._scratch = {
+            k: (np.empty(shape), np.empty(shape))
+            for k, shape in param_shapes.items()
+        }
         self._t = 0
 
     @classmethod
@@ -95,13 +105,19 @@ class Adam:
                 )
             m = self._m[key]
             v = self._v[key]
+            step, denom = self._scratch[key]
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(grad)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            updates[key] = -self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.square(grad, out=denom)
+            v += np.multiply(1.0 - self.beta2, denom, out=denom)
+            # (-lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(m, bias1, out=step)
+            np.multiply(-self.learning_rate, step, out=step)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            updates[key] = np.divide(step, denom, out=step)
         return updates
 
     @property

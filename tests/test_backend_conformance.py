@@ -51,7 +51,7 @@ from repro.queueing.backends.numba_backend import (
 )
 from repro.queueing.backends.numpy_backend import NumpyEpochKernel
 from repro.queueing.backends.registry import _INSTANCES, _REGISTRY
-from repro.queueing.clients import stack_rules
+from repro.queueing.clients import committed_counts_from_samples
 
 CONFIG = SystemConfig(
     num_clients=60,
@@ -201,6 +201,54 @@ class TestFamilyConformance:
         assert_traces_equal(actual, expected)
 
 
+#: (d, rule layout, row kind) cases of the choose stage. ``shared`` is
+#: one table broadcast over replicas (zero replica stride); ``zero-slots``
+#: rows give some slots probability 0; ``early-one`` rows put no mass on
+#: the last slot, so their cdf reaches exactly 1.0 before it.
+_CHOOSE_CASES = [
+    pytest.param((d, layout, kind), id=f"d{d}-{layout}-{kind}")
+    for d in (1, 2, 3)
+    for layout in ("shared", "per-replica")
+    for kind in ("jsq", "zero-slots", "early-one")
+    if d > 1 or kind == "jsq"
+]
+
+
+def _case_rule_table(kind: str, num_states: int, d: int, rng) -> np.ndarray:
+    """One ``(S, ..., S, d)`` rule table of the given row kind."""
+    shape = (num_states,) * d + (d,)
+    if kind == "jsq":
+        return JoinShortestQueuePolicy(num_states, d).decision_rule(
+            np.ones(num_states) / num_states, 0, rng
+        ).probs
+    if kind == "zero-slots":
+        raw = rng.random(shape) * (rng.random(shape) < 0.5)
+        raw[..., 0] += raw.sum(axis=-1) == 0.0
+        return raw / raw.sum(axis=-1, keepdims=True)
+    # Quarter weights on the first d - 1 slots only: exact in binary, so
+    # the cdf hits exactly 1.0 before the last slot.
+    first = rng.integers(0, 5, size=shape[:-1])
+    quarters = np.zeros(shape)
+    quarters[..., 0] = first
+    quarters[..., d - 2] += 4 - first
+    return quarters / 4.0
+
+
+def _full_cdf_committed_counts(observed, sampled, probs, rng):
+    """Independent copy of the per-client full-cdf choose stage."""
+    e, n, d = sampled.shape
+    zbar = np.take_along_axis(observed, sampled.reshape(e, n * d), axis=1)
+    zbar = zbar.reshape(e, n, d)
+    rows = probs[(np.arange(e)[:, None], *np.moveaxis(zbar, -1, 0))]
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    slots = (rng.random((e, n))[..., None] > cdf).sum(axis=-1)
+    committed = np.take_along_axis(sampled, slots[..., None], axis=-1)[..., 0]
+    counts = np.zeros(observed.shape, dtype=np.int64)
+    np.add.at(counts, (np.arange(e)[:, None], committed), 1)
+    return counts
+
+
 class TestPurePythonNumbaLoops:
     """Pin the numba loop *algorithm* against the reference kernel.
 
@@ -214,34 +262,46 @@ class TestPurePythonNumbaLoops:
     def kernels(self):
         return NumpyEpochKernel(), NumbaEpochKernel(require_numba=False)
 
-    @pytest.fixture()
-    def choose_inputs(self):
+    @pytest.fixture(params=_CHOOSE_CASES)
+    def choose_inputs(self, request):
+        d, layout, kind = request.param
         rng = np.random.default_rng(SEED)
-        e, n, m = 3, 50, CONFIG.num_queues
-        observed = rng.integers(0, CONFIG.num_queue_states, size=(e, m))
-        policy = JoinShortestQueuePolicy(CONFIG.num_queue_states, CONFIG.d)
-        rule = policy.decision_rule(np.ones(6) / 6.0, 0, rng)
-        probs = stack_rules(rule, e)
-        sampled = draw_uniform_queue_samples(rng, e, n, CONFIG.d, m)
-        return observed, sampled, probs
+        e, n, m = 3, 400, CONFIG.num_queues
+        s = CONFIG.num_queue_states
+        observed = rng.integers(0, s, size=(e, m))
+        tables = np.stack([_case_rule_table(kind, s, d, rng) for _ in range(e)])
+        if layout == "shared":
+            tables = np.broadcast_to(tables[0], tables.shape)
+        sampled = draw_uniform_queue_samples(rng, e, n, d, m)
+        return observed, sampled, tables
 
     def test_committed_counts_bit_identical(self, kernels, choose_inputs):
         reference, candidate = kernels
         observed, sampled, probs = choose_inputs
-        a = reference.committed_counts(
-            observed, sampled, probs, np.random.default_rng(11)
-        )
-        b = candidate.committed_counts(
-            observed, sampled, probs, np.random.default_rng(11)
-        )
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        a = reference.committed_counts(observed, sampled, probs, rng_a)
+        b = candidate.committed_counts(observed, sampled, probs, rng_b)
         np.testing.assert_array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert a.sum() == sampled.shape[0] * sampled.shape[1]
+
+    def test_committed_counts_match_full_cdf_formula(self, choose_inputs):
+        """The per-table threshold sampler equals the per-client full cdf
+        with its last value forced to 1.0, count for count and draw for
+        draw."""
+        observed, sampled, probs = choose_inputs
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        a = committed_counts_from_samples(observed, sampled, probs, rng_a)
+        b = _full_cdf_committed_counts(observed, sampled, probs, rng_b)
+        np.testing.assert_array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_packet_fractions_bit_identical(self, kernels, choose_inputs):
         reference, candidate = kernels
         observed, sampled, probs = choose_inputs
-        a = reference.packet_fractions(observed, sampled, probs, 50)
-        b = candidate.packet_fractions(observed, sampled, probs, 50)
+        n = sampled.shape[1]
+        a = reference.packet_fractions(observed, sampled, probs, n)
+        b = candidate.packet_fractions(observed, sampled, probs, n)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a.sum(axis=1), 1.0)
 

@@ -63,6 +63,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_client_choices(queue_states, 0, DecisionRule.uniform(6, 2), rng)
 
+    def test_rejects_negative_states(self, rng):
+        """A negative state would wrap to another row of the rule."""
+        rule = DecisionRule.join_shortest(6, 2)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            sample_client_choices(np.array([-1, 2, 3, -1]), 1000, rule, rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejects_state_equal_to_num_states(self, seed):
+        """``z = S`` is outside the rule whether or not a client samples it."""
+        rule = DecisionRule.join_shortest(6, 2)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            sample_client_choices(np.array([6, 2, 3, 1]), 1, rule, seed)
+
     def test_uniform_rule_spreads_choices(self, rng):
         """Under RND the committed queue is uniform over all M queues."""
         states = rng.integers(0, 6, size=10)

@@ -94,6 +94,25 @@ class TestAdam:
         updates = adam.step({"x": np.ones(1)})
         assert set(updates) == {"x"}
 
+    def test_matches_textbook_formula_bit_for_bit(self, rng):
+        """The buffered step equals the allocating formula exactly."""
+        shapes = {"w": (7, 5), "b": (5,)}
+        lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-7
+        adam = Adam(shapes, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 51):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-4, 3), size=s)
+                     for k, s in shapes.items()}
+            updates = adam.step(grads)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * np.square(g)
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                expected = -lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(updates[k], expected)
+
 
 class TestSgd:
     def test_minimizes_quadratic(self):
